@@ -5,37 +5,19 @@
 //! trailing ablation compares allocs/probe and ns/probe between the boxed
 //! and dictionary-encoded key representations).
 
-// xlint:allow-file(unsafe-boundary): counting allocations requires implementing the unsafe GlobalAlloc trait — this is a diagnostic binary, not engine code; no engine data structure is touched with unsafe here.
-
 use fivm_bench::{ProbeAblation, Workload};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-struct CountingAlloc;
+#[path = "../../../common/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations_during;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Runs `f`, returning its wall time and the allocations it made.
+fn measured(f: impl FnOnce()) -> (Duration, u64) {
+    let t0 = Instant::now();
+    let allocs = allocations_during(f);
+    (t0.elapsed(), allocs)
 }
 
 fn main() {
@@ -56,11 +38,11 @@ fn main() {
     // COUNT engine.
     let mut count = workload.count_engine();
     count.load_database(&workload.database).unwrap();
-    let (a0, t0) = (allocs(), Instant::now());
-    for u in &workload.updates {
-        black_box(count.apply_update(u).unwrap());
-    }
-    let (dt, da) = (t0.elapsed(), allocs() - a0);
+    let (dt, da) = measured(|| {
+        for u in &workload.updates {
+            black_box(count.apply_update(u).unwrap());
+        }
+    });
     println!(
         "COUNT : {:>8.0} rows/s  {:>6.1} allocs/row  {:>7.0} ns/row  stats={:?}",
         rows as f64 / dt.as_secs_f64(),
@@ -72,11 +54,11 @@ fn main() {
     // COVAR engine.
     let mut covar = workload.covar_engine();
     covar.load_database(&workload.database).unwrap();
-    let (a0, t0) = (allocs(), Instant::now());
-    for u in &workload.updates {
-        black_box(covar.apply_update(u).unwrap());
-    }
-    let (dt, da) = (t0.elapsed(), allocs() - a0);
+    let (dt, da) = measured(|| {
+        for u in &workload.updates {
+            black_box(covar.apply_update(u).unwrap());
+        }
+    });
     println!(
         "COVAR : {:>8.0} rows/s  {:>6.1} allocs/row  {:>7.0} ns/row  stats={:?}",
         rows as f64 / dt.as_secs_f64(),
@@ -91,17 +73,17 @@ fn main() {
     let ablation = ProbeAblation::from_workload(&workload);
     let passes = if quick { 20 } else { 100 };
     for (label, encoded) in [("boxed ", false), ("encode", true)] {
-        let (a0, t0) = (allocs(), Instant::now());
-        let mut acc = 0i64;
-        for _ in 0..passes {
-            acc += if encoded {
-                ablation.run_encoded()
-            } else {
-                ablation.run_boxed()
-            };
-        }
-        black_box(acc);
-        let (dt, da) = (t0.elapsed(), allocs() - a0);
+        let (dt, da) = measured(|| {
+            let mut acc = 0i64;
+            for _ in 0..passes {
+                acc += if encoded {
+                    ablation.run_encoded()
+                } else {
+                    ablation.run_boxed()
+                };
+            }
+            black_box(acc);
+        });
         let probes = (ablation.num_probes() * passes) as f64;
         println!(
             "{label}: {:>8.1}M probes/s  {:>6.1} allocs/probe  {:>7.1} ns/probe  ({} keys)",
@@ -114,15 +96,15 @@ fn main() {
 
     // Baseline cost of just iterating + cloning the update rows (what any
     // engine pays before touching views).
-    let (a0, t0) = (allocs(), Instant::now());
     let mut n = 0usize;
-    for u in &workload.updates {
-        for (row, m) in u.rows.iter() {
-            black_box((row.clone(), m));
-            n += 1;
+    let (dt, da) = measured(|| {
+        for u in &workload.updates {
+            for (row, m) in u.rows.iter() {
+                black_box((row.clone(), m));
+                n += 1;
+            }
         }
-    }
-    let (dt, da) = (t0.elapsed(), allocs() - a0);
+    });
     println!(
         "clone : {:>8.0} rows/s  {:>6.1} allocs/row  {:>7.0} ns/row  ({n} rows)",
         rows as f64 / dt.as_secs_f64(),

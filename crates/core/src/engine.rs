@@ -19,21 +19,25 @@
 //! dictionary-encoded once, at ingestion, into flat-word
 //! [`EncodedKey`]s (strings interned in the engine's [`Dict`]) and decoded
 //! only at output boundaries.  Every key is **hashed at most once per
-//! propagation level**: the grouped leaf delta, the per-level delta
-//! accumulator and every view table are [`RawTable`]s keyed by precomputed
-//! hashes, and a level's delta carries its hashes along when it is applied
-//! to the view and handed to the parent.  Probe keys are gathered out of an
+//! propagation level**: the grouped leaf delta and the per-level delta
+//! accumulator ([`crate::delta::DeltaTable`]) and every view table
+//! (`RawTable`) are keyed by precomputed hashes, and a level's delta
+//! carries its hashes along when it is applied to the view and handed to
+//! the parent — a buffer swap, so a call costs in proportion to the delta
+//! it carries, not to the largest batch the engine ever saw.  Probe keys are gathered out of an
 //! encoded assignment by plain word copies, a per-level memo short-circuits
 //! repeated probes of the same (skewed) key, partial products along a probe
 //! chain are computed with [`Ring::mul_into`] into per-depth scratch
 //! buffers, and contributions are accumulated with [`Ring::fma_scaled`].
-//! Zero payloads are erased in place after each level.
+//! Zero payloads are erased after each level.
 //!
 //! The engine is completely generic in the ring; the applications in
 //! [`crate::apps`] merely pick a ring and a set of lifts.
 
 use crate::error::{EngineError, EngineResult};
-use crate::kernel::{direct_level, group_row, probe_level, KernelMode, PropagationScratch};
+use crate::kernel::{
+    direct_level, finish_level, group_row, probe_level, KernelMode, PropagationScratch,
+};
 use crate::plan::{ExecutionPlan, ProbeKind};
 use crate::view::MaterializedView;
 use fivm_common::{wire, EncodedKey, FivmError, RelId, Result, WireReader};
@@ -87,6 +91,14 @@ pub struct EngineStats {
     /// resident footprint), and [`EngineStats::merge`] sums the
     /// per-shard footprints.
     pub table_bytes: usize,
+    /// Heap bytes of the propagation scratch kept between updates: delta
+    /// buffers, columnar level buffers and the payload pool's vector
+    /// ([`PropagationScratch::allocated_bytes`]).  A **gauge** like
+    /// `table_bytes` (carried through by `delta_since`, summed by
+    /// `merge`), and O(1) to read.  After any update it is at most
+    /// `SCRATCH_KEEP_BYTES` plus the pool vector, whatever the size of
+    /// the largest batch applied (see the memory contract in ROADMAP.md).
+    pub scratch_bytes: usize,
 }
 
 impl EngineStats {
@@ -105,6 +117,7 @@ impl EngineStats {
             ring_rehashes: self.ring_rehashes - earlier.ring_rehashes,
             deferred_index_builds: self.deferred_index_builds - earlier.deferred_index_builds,
             table_bytes: self.table_bytes,
+            scratch_bytes: self.scratch_bytes,
         }
     }
 
@@ -126,6 +139,7 @@ impl EngineStats {
             ring_rehashes: self.ring_rehashes + other.ring_rehashes,
             deferred_index_builds: self.deferred_index_builds + other.deferred_index_builds,
             table_bytes: self.table_bytes + other.table_bytes,
+            scratch_bytes: self.scratch_bytes + other.scratch_bytes,
         }
     }
 }
@@ -276,9 +290,8 @@ impl<R: Ring> Engine<R> {
     /// Work counters.  `rehashes`, `ring_rehashes` and `table_bytes` are
     /// read live from the view tables; the other counters accumulate on
     /// the maintenance path.  `table_bytes` covers the materialized views
-    /// (the state that must stay resident); transient propagation scratch
-    /// and the delta-payload pool are excluded — they are bounded by the
-    /// same `reset_zero` byte budget the memory contract documents.
+    /// (the state that must stay resident); the propagation scratch is
+    /// reported beside it as `scratch_bytes`.
     pub fn stats(&self) -> EngineStats {
         let mut stats = self.stats;
         stats.rehashes = self
@@ -296,6 +309,7 @@ impl<R: Ring> Engine<R> {
             .iter()
             .map(MaterializedView::table_bytes)
             .sum::<usize>();
+        stats.scratch_bytes = self.scratch.allocated_bytes();
         stats
     }
 
@@ -429,7 +443,7 @@ impl<R: Ring> Engine<R> {
                 )?;
             }
         }
-        Ok(self.propagate_grouped(rel, input_rows)?)
+        Ok(self.propagate_grouped(rel, input_rows))
     }
 
     /// Applies a batch of `(row, multiplicity)` changes to a relation.
@@ -465,7 +479,7 @@ impl<R: Ring> Engine<R> {
                 )?;
             }
         }
-        Ok(self.propagate_grouped(rel, input_rows)?)
+        Ok(self.propagate_grouped(rel, input_rows))
     }
 
     /// Rejects relation ids outside the compiled query — the typed form of
@@ -480,17 +494,24 @@ impl<R: Ring> Engine<R> {
         Ok(())
     }
 
-    /// Shared tail of every update path: erases cancelled keys from the
-    /// grouped leaf delta waiting in `scratch.next`, applies it to the leaf
-    /// view and propagates level by level to the root.  Hashes travel with
-    /// the delta: a key is hashed when it is first built and never again.
-    fn propagate_grouped(&mut self, rel: RelId, input_rows: usize) -> Result<UpdateOutcome> {
+    /// Shared tail of every update path: propagates the grouped leaf delta
+    /// waiting in `scratch.next`, then trims the scratch so what the batch
+    /// leaves allocated is bounded by `SCRATCH_KEEP_BYTES`, not by the
+    /// batch.
+    fn propagate_grouped(&mut self, rel: RelId, input_rows: usize) -> UpdateOutcome {
+        let outcome = self.propagate_to_root(rel, input_rows);
+        self.scratch.trim();
+        outcome
+    }
+
+    /// Erases cancelled keys from the grouped leaf delta, applies it to the
+    /// leaf view and propagates level by level to the root.  Hashes travel
+    /// with the delta: a key is hashed when it is first built and never
+    /// again.
+    fn propagate_to_root(&mut self, rel: RelId, input_rows: usize) -> UpdateOutcome {
         let leaf = &self.plan.leaf_plans()[rel];
         let leaf_view_idx = leaf.view_idx;
         let leaf_parent = leaf.parent;
-
-        let delta = &mut self.scratch.next;
-        delta.retain(|_, p| !p.is_zero());
 
         let mut outcome = UpdateOutcome {
             input_rows,
@@ -498,20 +519,19 @@ impl<R: Ring> Engine<R> {
         };
         self.stats.updates_applied += 1;
         self.stats.rows_applied += input_rows;
-        if delta.is_empty() {
-            return Ok(outcome);
-        }
 
         // Apply to the leaf view and start the leaf-to-root walk.
-        let current = &mut self.scratch.current;
-        current.clear();
-        delta.drain_into(current);
-        for (hash, key, payload) in current.iter() {
+        let scratch = &mut self.scratch;
+        finish_level(&mut scratch.next, &mut scratch.current);
+        if scratch.current.is_empty() {
+            return outcome;
+        }
+        for (hash, key, payload) in scratch.current.iter() {
             if self.views[leaf_view_idx].add_encoded(*hash, key, payload) {
                 self.stats.ring_adds += 1;
             }
         }
-        outcome.delta_entries += current.len();
+        outcome.delta_entries += scratch.current.len();
 
         // Propagate along the maintenance path.
         let (mut node_id, mut child_pos) = leaf_parent;
@@ -533,7 +553,7 @@ impl<R: Ring> Engine<R> {
             let dp = &np.delta_plans[child_pos];
             let lift = &self.lifts[np.var];
             let produced = &mut self.scratch.next;
-            debug_assert!(produced.is_empty(), "scratch delta not drained");
+            debug_assert!(produced.is_empty(), "scratch delta not handed over");
 
             if let Some(direct) = &dp.direct {
                 // Probe-free level: the output key is a plain projection of
@@ -572,16 +592,12 @@ impl<R: Ring> Engine<R> {
                 );
             }
 
-            // Erase zero payloads in place before the delta is applied or
-            // handed to the parent.
-            produced.retain(|_, p| !p.is_zero());
-
-            // Recycle the previous level's payloads before refilling
-            // `current` with the delta just produced.
+            // Recycle the previous level's payloads, then take the delta
+            // just produced (zero payloads erased) as the new `current`.
             self.scratch.recycle_current();
             let scratch = &mut self.scratch;
-            scratch.next.drain_into(&mut scratch.current);
-            let current = &mut scratch.current;
+            finish_level(&mut scratch.next, &mut scratch.current);
+            let current = &scratch.current;
             outcome.delta_entries += current.len();
             for (hash, key, payload) in current.iter() {
                 if self.views[node_id].add_encoded(*hash, key, payload) {
@@ -602,7 +618,7 @@ impl<R: Ring> Engine<R> {
         self.scratch.recycle_current();
 
         self.stats.delta_entries += outcome.delta_entries;
-        Ok(outcome)
+        outcome
     }
 }
 

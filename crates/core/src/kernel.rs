@@ -14,10 +14,11 @@
 //! once (when it is first gathered/encoded) and the hash travels with the
 //! key through delta tables, view application and parent levels.
 
+use crate::delta::{DeltaEntry, DeltaSlot, DeltaTable};
 use crate::plan::{DeltaPlan, DeltaStep, DirectEmit, ProbeKind, ALREADY_BOUND};
 use crate::view::MaterializedView;
 use crate::EngineStats;
-use fivm_common::{Dict, EncodedKey, EncodedValue, FivmError, Probe, RawTable, Result, Value};
+use fivm_common::{Dict, EncodedKey, EncodedValue, FivmError, Result, Value};
 use fivm_ring::{LiftFn, Ring, RingCtx};
 
 /// Debug-only tally backing the hash-once contract: within one
@@ -211,11 +212,15 @@ impl Default for StepMemo {
 /// path performs no per-update container allocation.
 pub struct PropagationScratch<R: Ring> {
     /// The delta entering the current level, with the precomputed hash of
-    /// every key (drained from `next`, hashes and all).
-    pub current: Vec<(u64, EncodedKey, R)>,
+    /// every key (swapped out of `next`, hashes and all).
+    pub current: Vec<DeltaEntry<R>>,
     /// The delta being produced for the next level, keyed by precomputed
     /// hashes.
-    pub next: RawTable<EncodedKey, R>,
+    pub next: DeltaTable<R>,
+    /// Drained delta buffers kept for their capacity (at most
+    /// `SPARE_CAP`).  Only the DAG driver uses them: it keeps one buffer
+    /// per in-flight fan-out edge rather than a single `current`.
+    pub spare: Vec<Vec<DeltaEntry<R>>>,
     /// Per-probe-depth partial products (`acc * sibling payload`); their
     /// inner allocations (vectors, matrices, maps) are reused by
     /// [`Ring::mul_into`].
@@ -298,6 +303,23 @@ pub struct LevelColumns {
 }
 
 impl LevelColumns {
+    /// Heap bytes of the column buffers (capacities × element size).
+    fn allocated_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        bytes(&self.keys)
+            + bytes(&self.evs)
+            + bytes(&self.scalar_ws)
+            + bytes(&self.ord)
+            + bytes(&self.out_hashes)
+            + bytes(&self.probe_keys)
+            + bytes(&self.probe_hashes)
+            + bytes(&self.run_evs)
+            + bytes(&self.run_ws)
+            + bytes(&self.run_slots)
+    }
+
     fn clear(&mut self) {
         self.keys.clear();
         self.evs.clear();
@@ -322,12 +344,24 @@ fn mix_hash(acc: u64, h: u64) -> u64 {
 /// Upper bound on pooled delta payloads (see `PropagationScratch::pool`).
 pub const POOL_CAP: usize = 4096;
 
+/// Upper bound on pooled delta buffers (see `PropagationScratch::spare`).
+const SPARE_CAP: usize = 32;
+
+/// Byte budget for the delta buffers a scratch keeps between propagations
+/// (`current`, `next`, `columns`, `spare`).  [`PropagationScratch::trim`]
+/// frees them all when their combined allocation exceeds it, so one bulk
+/// load cannot leave load-sized buffers resident.  Sized so that steady
+/// streams never reallocate: 1000-row Retailer COVAR batches hold 0.5 MB
+/// through one view tree and 2 MB through the eight-query DAG.
+pub const SCRATCH_KEEP_BYTES: usize = 8 << 20;
+
 impl<R: Ring> PropagationScratch<R> {
     /// Scratch sized for a plan's deepest probe chain and widest node.
     pub fn new(max_probe_depth: usize, max_local_vars: usize, pool_enabled: bool) -> Self {
         PropagationScratch {
             current: Vec::new(),
-            next: RawTable::new(),
+            next: DeltaTable::new(),
+            spare: Vec::new(),
             partials: (0..max_probe_depth).map(|_| R::zero()).collect(),
             memo: (0..max_probe_depth).map(|_| StepMemo::new()).collect(),
             assignment: vec![EncodedValue::NULL; max_local_vars],
@@ -365,10 +399,10 @@ impl<R: Ring> PropagationScratch<R> {
         }
     }
 
-    /// Recycles an arbitrary drained delta buffer into the pool — the DAG
-    /// keeps one buffer per in-flight fan-out edge rather than a single
-    /// `current`, but the pooling discipline is identical.
-    pub fn recycle_buffer(&mut self, buffer: &mut Vec<(u64, EncodedKey, R)>) {
+    /// Recycles a consumed delta buffer: its payloads go to the pool under
+    /// the same discipline as [`PropagationScratch::recycle_current`], the
+    /// emptied vector to `spare` for its capacity.
+    pub fn recycle_buffer(&mut self, mut buffer: Vec<DeltaEntry<R>>) {
         for (_, _, payload) in buffer.drain(..) {
             if self.pool_enabled && self.pool.len() < POOL_CAP {
                 let mut payload = payload;
@@ -376,7 +410,53 @@ impl<R: Ring> PropagationScratch<R> {
                 self.pool.push(payload);
             }
         }
+        if self.spare.len() < SPARE_CAP {
+            self.spare.push(buffer);
+        }
     }
+
+    /// Allocation of the delta buffers [`PropagationScratch::trim`]
+    /// governs.
+    fn buffer_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<DeltaEntry<R>>();
+        self.current.capacity() * entry
+            + self.next.allocated_bytes()
+            + self.columns.allocated_bytes()
+            + self.spare.iter().map(|b| b.capacity() * entry).sum::<usize>()
+    }
+
+    /// Heap bytes the scratch holds between propagations: the delta
+    /// buffers (at most [`SCRATCH_KEEP_BYTES`] after a
+    /// [`PropagationScratch::trim`]) plus the payload pool's vector (at
+    /// most [`POOL_CAP`] payloads; their interiors are bounded by the
+    /// ring's `reset_zero` budget and not visited here).  O(1):
+    /// capacities × element size, no scan.
+    pub fn allocated_bytes(&self) -> usize {
+        self.buffer_bytes() + self.pool.capacity() * std::mem::size_of::<R>()
+    }
+
+    /// Called at the end of every propagation, with all delta buffers
+    /// drained: frees them when together they exceed
+    /// [`SCRATCH_KEEP_BYTES`], so the scratch a batch leaves behind is
+    /// bounded by the budget, not by the batch.
+    pub fn trim(&mut self) {
+        if self.buffer_bytes() > SCRATCH_KEEP_BYTES {
+            debug_assert!(self.current.is_empty(), "trim() with a delta in flight");
+            self.current = Vec::new();
+            self.next.release();
+            self.columns = LevelColumns::default();
+            self.spare = Vec::new();
+        }
+    }
+}
+
+/// Ends the level accumulated in `produced`: keys whose payloads cancelled
+/// to zero are dropped and the rest move — by buffer swap, hashes and
+/// first-arrival order intact — into `out`, which must be empty.  A free
+/// function over the two buffers so drivers can pass disjoint fields of
+/// one [`PropagationScratch`].
+pub fn finish_level<R: Ring>(produced: &mut DeltaTable<R>, out: &mut Vec<DeltaEntry<R>>) {
+    produced.finish_into(out, |payload| !payload.is_zero());
 }
 
 /// Merges one input row into the grouped leaf delta: encodes the row
@@ -390,7 +470,7 @@ impl<R: Ring> PropagationScratch<R> {
 /// next batch.
 #[allow(clippy::too_many_arguments)]
 pub fn group_row<R: Ring>(
-    delta: &mut RawTable<EncodedKey, R>,
+    delta: &mut DeltaTable<R>,
     dict: &mut Dict,
     stats: &mut EngineStats,
     one: &R,
@@ -427,14 +507,13 @@ pub fn group_row<R: Ring>(
         }
     };
     let hash = key.fx_hash();
-    // xlint:allow(probe-upsert): `delta` is the ingestion-side grouping accumulator, an upsert table by definition (every row either lands on its group or opens one) — the reserving probe is one walk per row.
-    match delta.probe(hash, |k, _| *k == key) {
-        Probe::Found(idx) => {
-            delta.value_at_mut(idx).fma_scaled(one, one, mult);
+    match delta.slot_for(hash, &key) {
+        DeltaSlot::Found(entry) => {
+            delta.value_mut(entry).fma_scaled(one, one, mult);
             stats.ring_adds += 1;
         }
-        Probe::Vacant(idx) => {
-            delta.occupy(idx, hash, key, one.scale_int(mult));
+        DeltaSlot::Vacant(pos) => {
+            delta.insert_at(pos, hash, key, one.scale_int(mult));
         }
     }
     Ok(())
@@ -449,7 +528,7 @@ pub fn group_row<R: Ring>(
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn emit<R: Ring>(
-    out: &mut RawTable<EncodedKey, R>,
+    out: &mut DeltaTable<R>,
     lift: &LiftFn<R>,
     ev: EncodedValue,
     ctx: &RingCtx,
@@ -459,40 +538,39 @@ pub fn emit<R: Ring>(
     pool: &mut Vec<R>,
     stats: &mut EngineStats,
 ) {
-    // xlint:allow(probe-upsert): `out` is the level-local delta table every caller drains per level — an upsert table where any lookup may insert, so the reserving probe is the single-walk discipline the kernel contract prescribes here.
     if lift.is_identity() {
-        match out.probe(hash, |k, _| *k == key) {
-            Probe::Found(idx) => {
-                out.value_at_mut(idx).add_assign(acc);
+        match out.slot_for(hash, &key) {
+            DeltaSlot::Found(entry) => {
+                out.value_mut(entry).add_assign(acc);
                 stats.ring_adds += 1;
             }
-            Probe::Vacant(idx) => {
+            DeltaSlot::Vacant(pos) => {
                 // Clone rather than accumulate into a pooled zero: a pooled
                 // buffer may carry a different zero *shape* (a recycled
                 // dense element vs a scalar), and the stored payload's
                 // representation must not depend on pool history.  The
                 // fused-lift arm below is shape-deterministic (the lift
                 // promotes to a dense element either way) and does pool.
-                out.occupy(idx, hash, key, acc.clone());
+                out.insert_at(pos, hash, key, acc.clone());
             }
         }
     } else {
         // Fused lift-multiply-accumulate: `slot += acc · g(v)` without
         // materializing the (sparse) lifted element when the lift carries a
         // specialization.
-        match out.probe(hash, |k, _| *k == key) {
-            Probe::Found(idx) => {
-                lift.fma_apply_encoded(ev, |e| ctx.decode_value(e), acc, 1, out.value_at_mut(idx));
+        match out.slot_for(hash, &key) {
+            DeltaSlot::Found(entry) => {
+                lift.fma_apply_encoded(ev, |e| ctx.decode_value(e), acc, 1, out.value_mut(entry));
                 stats.ring_adds += 1;
                 stats.ring_muls += 1;
             }
-            Probe::Vacant(idx) => {
+            DeltaSlot::Vacant(pos) => {
                 let mut payload = pool.pop().unwrap_or_else(R::zero);
                 debug_assert!(payload.is_zero(), "pooled payload must be zero");
                 lift.fma_apply_encoded(ev, |e| ctx.decode_value(e), acc, 1, &mut payload);
                 stats.ring_muls += 1;
                 if !payload.is_zero() {
-                    out.occupy(idx, hash, key, payload);
+                    out.insert_at(pos, hash, key, payload);
                 } else {
                     pool.push(payload);
                 }
@@ -505,14 +583,10 @@ pub fn emit<R: Ring>(
 /// incoming delta row to its output key and accumulates the lifted
 /// contributions into `out`.
 ///
-/// `out` is the level-local delta table (the engine's drained scratch),
-/// an *upsert* table: every lookup may be followed by an insert, so both
-/// kernels use the reserving [`RawTable::probe`] — the correct discipline
-/// here, exactly one table walk per lookup.  (The `find_idx`-first
-/// discipline is for read-mostly hit paths — view probes, ring-interior
-/// reads — where a reserving probe on a hit could rehash a warm table at
-/// the load-factor boundary; that contract is pinned at the table layer,
-/// see `rawtable_differential.rs`.)
+/// `out` is the level-local [`DeltaTable`] (the driver's emptied
+/// scratch): both kernels upsert with one [`DeltaTable::slot_for`] walk per
+/// lookup, and the entries it accumulates — in first-arrival order — are
+/// what the driver hands to the view and the parent level.
 ///
 /// Two kernels, selected by `mode` (identical results; see the kernel
 /// contract in ROADMAP.md for the exactness fine print):
@@ -522,7 +596,7 @@ pub fn emit<R: Ring>(
 ///   the flat `(hash, input index)` column so rows sharing an output key
 ///   form adjacent *runs* in arrival order (equal keys hash equal; the
 ///   index tie-break keeps per-key accumulation order identical to the
-///   scalar path), then applies each run with **one** reserving probe
+///   scalar path), then applies each run with **one** table lookup
 ///   instead of one per row.  A run whose rows all carry scalar payload
 ///   mass ([`Ring::scalar_weight`]) and whose lift has a batch channel
 ///   ([`LiftFn::fma_batch`]) collapses further into a single lift dispatch
@@ -540,14 +614,13 @@ pub fn direct_level<R: Ring>(
     direct: &DirectEmit,
     lift: &LiftFn<R>,
     ctx: &RingCtx,
-    input: &[(u64, EncodedKey, R)],
-    out: &mut RawTable<EncodedKey, R>,
+    input: &[DeltaEntry<R>],
+    out: &mut DeltaTable<R>,
     cols: &mut LevelColumns,
     pool: &mut Vec<R>,
     mode: KernelMode,
     stats: &mut EngineStats,
 ) {
-    // xlint:allow(probe-upsert): `out` is the level-local delta upsert table — every lookup may insert, so the reserving probe is exactly one table walk per lookup (see the contract note in this function's doc).
     // xlint:allow(no-panic): the expects guard run invariants established two lines above each site (`batchable` implies every `scalar_ws` is Some and `batch` is Some) — unreachable by construction, not error paths.
     let _tally = hash_tally::LevelScope::enter("direct_level");
     let columnar = match mode {
@@ -640,19 +713,19 @@ pub fn direct_level<R: Ring>(
             continue;
         }
         let len = end - start;
-        // One reserving probe per run — the same upsert discipline as the
-        // scalar path's `emit`, amortized over the whole run.
-        let slot = out.probe(run_hash, |k, _| *k == *run_key);
+        // One lookup per run — the same upsert as the scalar path's
+        // `emit`, amortized over the whole run.
+        let slot = out.slot_for(run_hash, run_key);
         if identity {
             match slot {
-                Probe::Found(idx) => {
-                    let v = out.value_at_mut(idx);
+                DeltaSlot::Found(entry) => {
+                    let v = out.value_mut(entry);
                     for &(_, j) in &cols.ord[start..end] {
                         v.add_assign(&input[j as usize].2);
                     }
                     stats.ring_adds += len;
                 }
-                Probe::Vacant(idx) => {
+                DeltaSlot::Vacant(pos) => {
                     // Clone the first payload rather than accumulate into a
                     // pooled zero — same shape-determinism rule as `emit`'s
                     // identity arm.
@@ -662,7 +735,7 @@ pub fn direct_level<R: Ring>(
                     }
                     stats.ring_adds += len - 1;
                     if !payload.is_zero() {
-                        out.occupy(idx, run_hash, run_key.clone(), payload);
+                        out.insert_at(pos, run_hash, run_key.clone(), payload);
                     }
                 }
             }
@@ -687,8 +760,8 @@ pub fn direct_level<R: Ring>(
             }
             let batch_run = batchable.then(|| batch.as_ref().expect("batchable"));
             match slot {
-                Probe::Found(idx) => {
-                    let v = out.value_at_mut(idx);
+                DeltaSlot::Found(entry) => {
+                    let v = out.value_mut(entry);
                     match batch_run {
                         Some(b) => b(&cols.run_evs, &cols.run_ws, v),
                         None => {
@@ -707,7 +780,7 @@ pub fn direct_level<R: Ring>(
                     stats.ring_adds += len;
                     stats.ring_muls += len;
                 }
-                Probe::Vacant(idx) => {
+                DeltaSlot::Vacant(pos) => {
                     let mut payload = pool.pop().unwrap_or_else(R::zero);
                     debug_assert!(payload.is_zero(), "pooled payload must be zero");
                     match batch_run {
@@ -728,7 +801,7 @@ pub fn direct_level<R: Ring>(
                     stats.ring_muls += len;
                     stats.ring_adds += len - 1;
                     if !payload.is_zero() {
-                        out.occupy(idx, run_hash, run_key.clone(), payload);
+                        out.insert_at(pos, run_hash, run_key.clone(), payload);
                     } else {
                         pool.push(payload);
                     }
@@ -761,14 +834,15 @@ pub fn extend_assignment<R: Ring>(
     assignment: &mut [EncodedValue],
     acc: &R,
     partials: &mut [R],
-    out: &mut RawTable<EncodedKey, R>,
+    out: &mut DeltaTable<R>,
     pool: &mut Vec<R>,
     stats: &mut EngineStats,
 ) {
     let Some((step, rest)) = steps.split_first() else {
         // All siblings probed: apply the lift and emit the contribution
         // under the node's output key (hashed once, reused by the upsert
-        // and, via `drain_into`, by the view application and parent level).
+        // and, travelling with the entry, by the view application and
+        // parent level).
         let key = EncodedKey::gather(assignment, &dp.key_positions);
         hash_tally::note_key();
         let hash = key.fx_hash();
@@ -891,8 +965,8 @@ pub fn probe_level<R: Ring>(
     ctx: &RingCtx,
     dp: &DeltaPlan,
     lift: &LiftFn<R>,
-    input: &[(u64, EncodedKey, R)],
-    out: &mut RawTable<EncodedKey, R>,
+    input: &[DeltaEntry<R>],
+    out: &mut DeltaTable<R>,
     cols: &mut LevelColumns,
     memo: &mut [StepMemo],
     assignment: &mut [EncodedValue],
@@ -902,7 +976,6 @@ pub fn probe_level<R: Ring>(
     mode: KernelMode,
     stats: &mut EngineStats,
 ) {
-    // xlint:allow(probe-upsert): `out` is the level-local delta upsert table — every lookup may insert, so the reserving probe is the correct single-walk discipline (same rationale as `direct_level`; the kernel contract's find_idx-first rule targets long-lived read-mostly tables).
     // xlint:allow(no-panic): the two expects guard the `batchable` run predicate established immediately above them (every `scalar_ws` Some, `batch` Some) — compile-time-style invariants, not error paths.
     let _tally = hash_tally::LevelScope::enter("probe_level");
     assignment.iter_mut().for_each(|v| *v = EncodedValue::NULL);
@@ -1075,13 +1148,13 @@ pub fn probe_level<R: Ring>(
                     let cur: &R = if k == 1 { acc } else { &partials[k - 2] };
                     let last =
                         views[dp.steps[k - 1].sibling_view].slot_payload(cols.run_slots[k - 1]);
-                    match out.probe(out_hash, |key, _| *key == *out_key) {
-                        Probe::Found(idx) => {
-                            out.value_at_mut(idx).fma_scaled(cur, last, 1);
+                    match out.slot_for(out_hash, out_key) {
+                        DeltaSlot::Found(entry) => {
+                            out.value_mut(entry).fma_scaled(cur, last, 1);
                             stats.ring_adds += 1;
                             stats.ring_muls += 1;
                         }
-                        Probe::Vacant(idx) => {
+                        DeltaSlot::Vacant(pos) => {
                             let mut payload = if pool_enabled {
                                 pool.pop().unwrap_or_else(R::zero)
                             } else {
@@ -1095,26 +1168,26 @@ pub fn probe_level<R: Ring>(
                                     pool.push(payload);
                                 }
                             } else {
-                                out.occupy(idx, out_hash, out_key.clone(), payload);
+                                out.insert_at(pos, out_hash, out_key.clone(), payload);
                             }
                         }
                     }
                 } else {
                     let chain: &R = &partials[k - 1];
                     let ev = cols.evs[i0];
-                    match out.probe(out_hash, |key, _| *key == *out_key) {
-                        Probe::Found(idx) => {
+                    match out.slot_for(out_hash, out_key) {
+                        DeltaSlot::Found(entry) => {
                             lift.fma_apply_encoded(
                                 ev,
                                 |e| ctx.decode_value(e),
                                 chain,
                                 1,
-                                out.value_at_mut(idx),
+                                out.value_mut(entry),
                             );
                             stats.ring_adds += 1;
                             stats.ring_muls += 1;
                         }
-                        Probe::Vacant(idx) => {
+                        DeltaSlot::Vacant(pos) => {
                             let mut payload = if pool_enabled {
                                 pool.pop().unwrap_or_else(R::zero)
                             } else {
@@ -1134,7 +1207,7 @@ pub fn probe_level<R: Ring>(
                                     pool.push(payload);
                                 }
                             } else {
-                                out.occupy(idx, out_hash, out_key.clone(), payload);
+                                out.insert_at(pos, out_hash, out_key.clone(), payload);
                             }
                         }
                     }
@@ -1220,13 +1293,13 @@ pub fn probe_level<R: Ring>(
             let last = views[dp.steps[k - 1].sibling_view].slot_payload(cols.run_slots[k - 1]);
             let out_hash = cols.out_hashes[i0];
             let out_key = &cols.keys[i0];
-            match out.probe(out_hash, |key, _| *key == *out_key) {
-                Probe::Found(idx) => {
-                    out.value_at_mut(idx).fma_scaled(cur, last, 1);
+            match out.slot_for(out_hash, out_key) {
+                DeltaSlot::Found(entry) => {
+                    out.value_mut(entry).fma_scaled(cur, last, 1);
                     stats.ring_adds += 1;
                     stats.ring_muls += 1;
                 }
-                Probe::Vacant(idx) => {
+                DeltaSlot::Vacant(pos) => {
                     let mut payload = if pool_enabled {
                         pool.pop().unwrap_or_else(R::zero)
                     } else {
@@ -1236,7 +1309,7 @@ pub fn probe_level<R: Ring>(
                     payload.fma_scaled(cur, last, 1);
                     stats.ring_muls += 1;
                     if !payload.is_zero() {
-                        out.occupy(idx, out_hash, out_key.clone(), payload);
+                        out.insert_at(pos, out_hash, out_key.clone(), payload);
                     } else if pool_enabled && pool.len() < POOL_CAP {
                         pool.push(payload);
                     }

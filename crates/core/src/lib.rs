@@ -34,6 +34,8 @@
 //! * [`engine`] — the generic, ring-agnostic maintenance engine.
 //! * [`plan`] — compilation of view trees into static probe/index plans.
 //! * [`view`] — materialized views with planned secondary indexes.
+//! * [`delta`] — the level-local delta accumulator the kernel upserts into
+//!   (dense entries in arrival order, O(delta) teardown, hand-off by swap).
 //! * [`kernel`] — the shared delta-propagation kernel (grouping, probing,
 //!   lift application), driven by both the single-tree engine and the
 //!   multi-query DAG (`fivm_dag`).
@@ -43,6 +45,7 @@
 //!   snapshot surface.
 
 pub mod apps;
+pub mod delta;
 pub mod engine;
 pub mod error;
 pub mod kernel;

@@ -6,7 +6,8 @@
 //! steady-state COUNT maintenance path is additionally held to zero
 //! allocations per row end to end.
 //!
-//! A counting global allocator records every allocation, mirroring
+//! The counting allocator (per-thread, so the default parallel test runner
+//! cannot charge another test's allocations here) is shared with
 //! `crates/ring/tests/alloc_fma.rs`.
 
 use fivm_common::{Dict, EncodedKey, EncodedValue, Value};
@@ -15,38 +16,11 @@ use fivm_query::spec::figure1_query;
 use fivm_query::{EliminationHeuristic, VariableOrder, ViewTree};
 use fivm_relation::{tuple, Update};
 use fivm_ring::{Cofactor, Ring};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
-}
+#[path = "../../common/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations_during;
 
 /// A COVAR-shaped view (dense cofactor payloads) keyed by two columns with
 /// a secondary index on the first.

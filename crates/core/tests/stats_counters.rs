@@ -8,11 +8,13 @@
 //! extra probes) shows up as a counter mismatch, and `rehashes` tracks
 //! table growth.
 
-use fivm_common::Value;
+use fivm_common::{AttrKind, Value};
 use fivm_core::apps;
+use fivm_core::delta::DeltaEntry;
+use fivm_core::kernel::SCRATCH_KEEP_BYTES;
 use fivm_query::spec::figure1_query;
 use fivm_query::ViewTree;
-use fivm_relation::{tuple, Tuple};
+use fivm_relation::{tuple, BaseTable, Database, Schema, Tuple};
 
 /// The paper's Figure-1 tree: A root over B and C, D under C;
 /// R(A, B) attaches below B, S(A, C, D) below D.
@@ -208,6 +210,7 @@ fn stats_merge_sums_every_counter() {
         ring_rehashes: 9,
         deferred_index_builds: 1,
         table_bytes: 100,
+        scratch_bytes: 7,
     };
     let b = fivm_core::EngineStats {
         updates_applied: 10,
@@ -221,6 +224,7 @@ fn stats_merge_sums_every_counter() {
         ring_rehashes: 90,
         deferred_index_builds: 10,
         table_bytes: 1000,
+        scratch_bytes: 70,
     };
     let m = a.merge(&b);
     assert_eq!(
@@ -237,18 +241,73 @@ fn stats_merge_sums_every_counter() {
             ring_rehashes: 99,
             deferred_index_builds: 11,
             table_bytes: 1100,
+            scratch_bytes: 77,
         }
     );
-    // merge and delta_since are inverses for the counters; the byte gauge
-    // is not differenced — delta_since carries the later snapshot's
+    // merge and delta_since are inverses for the counters; the byte gauges
+    // are not differenced — delta_since carries the later snapshot's
     // footprint through (a difference of a shrinkable gauge is
     // meaningless, and consumers always want the resident footprint).
     assert_eq!(
         m.delta_since(&b),
-        fivm_core::EngineStats { table_bytes: m.table_bytes, ..a }
+        fivm_core::EngineStats {
+            table_bytes: m.table_bytes,
+            scratch_bytes: m.scratch_bytes,
+            ..a
+        }
     );
-    let shrunk = fivm_core::EngineStats { table_bytes: 5, ..a };
-    assert_eq!(shrunk.delta_since(&a).table_bytes, 5);
+    let shrunk = fivm_core::EngineStats { table_bytes: 5, scratch_bytes: 3, ..a };
+    let d = shrunk.delta_since(&a);
+    assert_eq!((d.table_bytes, d.scratch_bytes), (5, 3));
+}
+
+#[test]
+fn scratch_bytes_after_load_database_is_bounded_by_the_budget_not_the_load() {
+    // `load_database` applies each table as one batch.  R's 120 000 distinct
+    // keys need ~80 B of delta entry each on every level they reach — well
+    // over the scratch budget — so the load-sized buffers must be gone when
+    // the load returns; S loads second and leaves its few entries' worth.
+    let mut db = Database::new();
+    let mut r = BaseTable::new(
+        "R",
+        Schema::of(&[("A", AttrKind::Categorical), ("B", AttrKind::Categorical)]),
+    );
+    for i in 0..120_000 {
+        r.push(t(&[i % 50, i]));
+    }
+    db.add_table(r).unwrap();
+    let mut s = BaseTable::new(
+        "S",
+        Schema::of(&[
+            ("A", AttrKind::Categorical),
+            ("C", AttrKind::Categorical),
+            ("D", AttrKind::Categorical),
+        ]),
+    );
+    for i in 0..50 {
+        s.push(t(&[i, i % 7, i]));
+    }
+    db.add_table(s).unwrap();
+
+    let mut engine = apps::count_engine(figure1_tree()).unwrap();
+    assert_eq!(engine.stats().scratch_bytes, 0, "a fresh engine holds no scratch");
+    engine.load_database(&db).unwrap();
+    assert_eq!(engine.result(), 120_000);
+    let loaded = engine.stats().scratch_bytes;
+    let load_sized = 120_000 * std::mem::size_of::<DeltaEntry<i64>>();
+    assert!(load_sized > SCRATCH_KEEP_BYTES, "the load must exceed the budget");
+    assert!(
+        loaded < 64 << 10,
+        "scratch after load_database is {loaded} B — sized by the 120 000-row table, not the 50-row one"
+    );
+
+    // Small updates afterwards keep their (small) buffers: the gauge is
+    // live, and stays where a 50-row batch put it.
+    engine
+        .apply_rows(0, vec![(t(&[1, 120_001]), 1), (t(&[2, 120_002]), 1)])
+        .unwrap();
+    let after = engine.stats().scratch_bytes;
+    assert!(after > 0 && after < 64 << 10, "scratch after a 2-row update: {after} B");
 }
 
 #[test]

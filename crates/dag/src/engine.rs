@@ -42,7 +42,10 @@
 
 use crate::error::{DagError, DagResult};
 use fivm_common::{EncodedKey, FivmError, VarId};
-use fivm_core::kernel::{direct_level, group_row, probe_level, KernelMode, PropagationScratch};
+use fivm_core::delta::DeltaEntry;
+use fivm_core::kernel::{
+    direct_level, finish_level, group_row, probe_level, KernelMode, PropagationScratch,
+};
 use fivm_core::plan::{compile_delta_plan, ChildInfo, DeltaPlan, ExecutionPlan, ProbeKind};
 use fivm_core::{EngineStats, MaterializedView, UpdateOutcome};
 use fivm_query::fingerprint::{
@@ -125,9 +128,6 @@ struct QueryState {
     nodes: Vec<usize>,
 }
 
-/// Maximum number of pooled per-pass delta buffers kept across updates.
-const SPARE_CAP: usize = 32;
-
 /// The shared multi-query maintenance DAG for ring `R` (see module docs).
 pub struct DagEngine<R: Ring> {
     ctx: RingCtx,
@@ -140,9 +140,9 @@ pub struct DagEngine<R: Ring> {
     free_ids: Vec<usize>,
     queries: Vec<Option<QueryState>>,
     free_queries: Vec<usize>,
+    /// Shared kernel scratch; its `spare` list holds the recycled
+    /// per-pass delta buffers (capacity reuse only).
     scratch: PropagationScratch<R>,
-    /// Recycled per-pass delta buffers (capacity reuse only).
-    spare: Vec<Vec<(u64, EncodedKey, R)>>,
     stats: EngineStats,
     /// Whether any data has flowed (load or update) — after which new
     /// leaves require a backfill database.
@@ -169,7 +169,6 @@ impl<R: Ring> DagEngine<R> {
             queries: Vec::new(),
             free_queries: Vec::new(),
             scratch: PropagationScratch::new(0, 0, false),
-            spare: Vec::new(),
             stats: EngineStats::default(),
             touched: false,
         }
@@ -211,7 +210,8 @@ impl<R: Ring> DagEngine<R> {
 
     /// Work counters.  Like the single-tree engine, `rehashes`,
     /// `ring_rehashes` and `table_bytes` are live gauges over the view
-    /// tables; the accumulating counters cover work on *shared* levels
+    /// tables and `scratch_bytes` one over the propagation scratch; the
+    /// accumulating counters cover work on *shared* levels
     /// once per pass, however many queries consume them (see the DAG
     /// contract in ROADMAP.md for how to read them).
     pub fn stats(&self) -> EngineStats {
@@ -227,6 +227,7 @@ impl<R: Ring> DagEngine<R> {
             .iter()
             .map(MaterializedView::table_bytes)
             .sum::<usize>();
+        stats.scratch_bytes = self.scratch.allocated_bytes();
         stats
     }
 
@@ -518,15 +519,13 @@ impl<R: Ring> DagEngine<R> {
                         )?;
                     }
                 }
-                self.scratch.next.retain(|_, p| !p.is_zero());
-                let mut buf = self.spare.pop().unwrap_or_default();
-                self.scratch.next.drain_into(&mut buf);
+                let buf = self.take_produced();
                 for (hash, key, payload) in buf.iter() {
                     if self.views[id].add_encoded(*hash, key, payload) {
                         self.stats.ring_adds += 1;
                     }
                 }
-                self.recycle(buf);
+                self.scratch.recycle_buffer(buf);
             }
         }
 
@@ -559,7 +558,7 @@ impl<R: Ring> DagEngine<R> {
                     self.stats.deferred_index_builds += 1;
                 }
             }
-            let mut input = self.spare.pop().unwrap_or_default();
+            let mut input = self.scratch.spare.pop().unwrap_or_default();
             for (hash, key, payload) in self.views[child0].iter_hashed() {
                 input.push((hash, key.clone(), payload.clone()));
             }
@@ -581,17 +580,17 @@ impl<R: Ring> DagEngine<R> {
                     &mut self.stats,
                 );
             }
-            self.scratch.next.retain(|_, p| !p.is_zero());
-            let mut out = self.spare.pop().unwrap_or_default();
-            self.scratch.next.drain_into(&mut out);
+            let out = self.take_produced();
             for (hash, key, payload) in out.iter() {
                 if self.views[id].add_encoded(*hash, key, payload) {
                     self.stats.ring_adds += 1;
                 }
             }
-            self.recycle(input);
-            self.recycle(out);
+            self.scratch.recycle_buffer(input);
+            self.scratch.recycle_buffer(out);
         }
+        // A backfill is a load-sized pass like any other.
+        self.scratch.trim();
 
         let roots: Vec<usize> = tree.roots().iter().map(|&r| node_id_of[r]).collect();
         let root_key_vars: Vec<Vec<VarId>> = tree
@@ -709,7 +708,7 @@ impl<R: Ring> DagEngine<R> {
                     )?;
                 }
             }
-            self.propagate_from_leaf(leaf, input_rows)?;
+            self.propagate_from_leaf(leaf, input_rows);
         }
         self.touched = true;
         Ok(())
@@ -761,35 +760,38 @@ impl<R: Ring> DagEngine<R> {
                     )?;
                 }
             }
-            outcome = outcome.merge(&self.propagate_from_leaf(leaf, input_rows)?);
+            outcome = outcome.merge(&self.propagate_from_leaf(leaf, input_rows));
         }
         self.touched = true;
         Ok(outcome)
     }
 
     /// Propagates the grouped delta waiting in `scratch.next` from a leaf
-    /// up the DAG (see module docs for why the affected subgraph is an
-    /// out-tree and each node is visited once).
-    fn propagate_from_leaf(
-        &mut self,
-        leaf: usize,
-        input_rows: usize,
-    ) -> DagResult<UpdateOutcome> {
+    /// up the DAG, then trims the scratch so what the batch leaves
+    /// allocated is bounded by `SCRATCH_KEEP_BYTES`, not by the batch.
+    fn propagate_from_leaf(&mut self, leaf: usize, input_rows: usize) -> UpdateOutcome {
+        let outcome = self.propagate_up(leaf, input_rows);
+        self.scratch.trim();
+        outcome
+    }
+
+    /// The pass itself (see module docs for why the affected subgraph is
+    /// an out-tree and each node is visited once).
+    fn propagate_up(&mut self, leaf: usize, input_rows: usize) -> UpdateOutcome {
         self.stats.updates_applied += 1;
         self.stats.rows_applied += input_rows;
         let mut outcome = UpdateOutcome {
             input_rows,
             delta_entries: 0,
         };
-        self.scratch.next.retain(|_, p| !p.is_zero());
-        if self.scratch.next.is_empty() {
-            return Ok(outcome);
-        }
 
         // The leaf delta: apply to the leaf view, then fan out.
-        let mut arena: Vec<Vec<(u64, EncodedKey, R)>> = Vec::new();
-        let mut buf = self.spare.pop().unwrap_or_default();
-        self.scratch.next.drain_into(&mut buf);
+        let buf = self.take_produced();
+        if buf.is_empty() {
+            self.scratch.recycle_buffer(buf);
+            return outcome;
+        }
+        let mut arena: Vec<Vec<DeltaEntry<R>>> = Vec::new();
         for (hash, key, payload) in buf.iter() {
             if self.views[leaf].add_encoded(*hash, key, payload) {
                 self.stats.ring_adds += 1;
@@ -797,9 +799,7 @@ impl<R: Ring> DagEngine<R> {
         }
         outcome.delta_entries += buf.len();
         arena.push(buf);
-        let mut queue: VecDeque<(usize, usize, usize)> = self.nodes[leaf]
-            .as_ref()
-            .expect("update leaf is live")
+        let mut queue: VecDeque<(usize, usize, usize)> = live_node(&self.nodes, leaf)
             .parents
             .iter()
             .map(|&(p, pos)| (p, pos, 0))
@@ -809,8 +809,8 @@ impl<R: Ring> DagEngine<R> {
             // Build the deferred indexes this level probes (mutable view
             // phase, before the immutable probing pass).
             let index_builds: Vec<(usize, usize)> = {
-                let node = self.nodes[node_id].as_ref().expect("parent is live");
-                let NodeBody::Inner { delta_plans, .. } = &node.body else {
+                let NodeBody::Inner { delta_plans, .. } = &live_node(&self.nodes, node_id).body
+                else {
                     unreachable!("leaves have no children")
                 };
                 delta_plans[child_pos]
@@ -830,10 +830,9 @@ impl<R: Ring> DagEngine<R> {
 
             // Produce this level's delta (views immutable).
             {
-                let node = self.nodes[node_id].as_ref().expect("parent is live");
                 let NodeBody::Inner {
                     lift, delta_plans, ..
-                } = &node.body
+                } = &live_node(&self.nodes, node_id).body
                 else {
                     unreachable!("leaves have no children")
                 };
@@ -850,9 +849,7 @@ impl<R: Ring> DagEngine<R> {
 
             // Apply to the node's own view, then hand the delta to every
             // parent (the arena keeps it alive for all of them).
-            self.scratch.next.retain(|_, p| !p.is_zero());
-            let mut out = self.spare.pop().unwrap_or_default();
-            self.scratch.next.drain_into(&mut out);
+            let out = self.take_produced();
             for (hash, key, payload) in out.iter() {
                 if self.views[node_id].add_encoded(*hash, key, payload) {
                     self.stats.ring_adds += 1;
@@ -860,35 +857,30 @@ impl<R: Ring> DagEngine<R> {
             }
             outcome.delta_entries += out.len();
             if out.is_empty() {
-                self.recycle(out);
+                self.scratch.recycle_buffer(out);
                 continue;
             }
             let out_idx = arena.len();
             arena.push(out);
-            let parents = self.nodes[node_id]
-                .as_ref()
-                .expect("parent is live")
-                .parents
-                .clone();
-            for (p, pos) in parents {
+            for &(p, pos) in &live_node(&self.nodes, node_id).parents {
                 queue.push_back((p, pos, out_idx));
             }
         }
 
         for buf in arena {
-            self.recycle(buf);
+            self.scratch.recycle_buffer(buf);
         }
         self.stats.delta_entries += outcome.delta_entries;
-        Ok(outcome)
+        outcome
     }
 
-    /// Returns a drained delta buffer's payloads to the scratch pool and
-    /// keeps the vector's capacity for the next pass.
-    fn recycle(&mut self, mut buf: Vec<(u64, EncodedKey, R)>) {
-        self.scratch.recycle_buffer(&mut buf);
-        if self.spare.len() < SPARE_CAP {
-            self.spare.push(buf);
-        }
+    /// Ends the level accumulated in `scratch.next` and returns its delta
+    /// (zero payloads erased, first-arrival order) in a spare buffer — a
+    /// swap, whatever the delta's size.
+    fn take_produced(&mut self) -> Vec<DeltaEntry<R>> {
+        let mut out = self.scratch.spare.pop().unwrap_or_default();
+        finish_level(&mut self.scratch.next, &mut out);
+        out
     }
 
     /// A query's result for queries without group-by variables: the
@@ -982,11 +974,11 @@ fn produce_level<R: Ring>(
     ctx: &RingCtx,
     dp: &DeltaPlan,
     lift: &LiftFn<R>,
-    input: &[(u64, EncodedKey, R)],
+    input: &[DeltaEntry<R>],
     scratch: &mut PropagationScratch<R>,
     stats: &mut EngineStats,
 ) {
-    debug_assert!(scratch.next.is_empty(), "scratch delta not drained");
+    debug_assert!(scratch.next.is_empty(), "scratch delta not handed over");
     if let Some(direct) = &dp.direct {
         // Probe-free level: the output key is a plain projection of the
         // delta key — no assignment scatter, no probes.  The kernel picks

@@ -3,42 +3,16 @@
 //! `Elem × Elem` case (a dense accumulator receiving dense products), which
 //! is the op that dominates COVAR maintenance.
 //!
-//! A counting global allocator records every allocation; the assertion
-//! would catch any regression that reintroduces temporaries on this path.
+//! A counting global allocator records every allocation the measuring
+//! thread makes; the assertion would catch any regression that
+//! reintroduces temporaries on this path.
 
 use fivm_common::EncodedValue;
 use fivm_ring::{Cofactor, GenCofactor, RelValue, Ring};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
-}
+#[path = "../../common/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations_during;
 
 #[test]
 fn cofactor_fma_elem_elem_does_not_allocate() {

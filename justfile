@@ -29,6 +29,16 @@ clippy:
 bench-build:
     cargo bench --no-run
 
+# The repository's benchmark (benchmark/README.md, BENCHMARK.json): every
+# workload untraced then traced, every metric by name, outputs verified;
+# about 2.5 min.  Performance claims come from here only.
+bench:
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run
+
+# The same at reduced scale (≤ 15 s after the build; numbers not comparable).
+bench-quick:
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --quick
+
 # Regenerate the machine-readable perf baseline (writes BENCH_ivm.json,
 # including the encoded-vs-boxed probe-key ablation records and the
 # paired single-vs-sharded PAR-* records).
