@@ -277,22 +277,15 @@ fn main() {
         {
             let mem = MemAblation::from_workload(&workload);
             let entries = mem.entries();
-            let (new, option, boxed) = (mem.new_bytes(), mem.option_bytes(), mem.boxed_bytes());
+            let (new, boxed) = (mem.new_bytes(), mem.boxed_bytes());
             let per = |b: usize| b as f64 / entries as f64;
             println!(
-                "  mem ablation ({entries} ring-table entries): boxed {:.1} B/entry, \
-                 option-slot layout {:.1} B/entry, new layout {:.1} B/entry \
-                 ({:.1}% reduction vs option slots)",
+                "  mem ablation ({entries} ring entries, value + heap): boxed {:.1} B/entry, \
+                 encoded {:.1} B/entry",
                 per(boxed),
-                per(option),
                 per(new),
-                (1.0 - per(new) / per(option)) * 100.0,
             );
-            for (app, bytes) in [
-                ("MEM-ring-boxed", boxed),
-                ("MEM-ring-option", option),
-                ("MEM-ring-new", new),
-            ] {
+            for (app, bytes) in [("MEM-ring-boxed", boxed), ("MEM-ring-new", new)] {
                 records.push(BenchRecord {
                     dataset: dataset.to_string(),
                     app: app.to_string(),

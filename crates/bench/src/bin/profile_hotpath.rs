@@ -4,8 +4,16 @@
 //! to see allocations/row, probe volume and where the time goes; the
 //! trailing ablation compares allocs/probe and ns/probe between the boxed
 //! and dictionary-encoded key representations).
+//!
+//! `--favorita` profiles the ring-bound regime instead: Favorita at default
+//! scale under the generalized COVAR and MI payloads, each 1000-row bulk
+//! applied and then inverted (the cancel-and-refill churn a maintained view
+//! lives in), measured after one warm round — ns/row, allocations/row,
+//! ring-interior rehashes per 1000 rows and the resident `table_bytes`.
 
 use fivm_bench::{ProbeAblation, Workload};
+use fivm_core::Engine;
+use fivm_ring::GenCofactor;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -20,8 +28,51 @@ fn measured(f: impl FnOnce()) -> (Duration, u64) {
     (t0.elapsed(), allocs)
 }
 
+/// The `--favorita` profile of one engine: a warm forward-then-inverse
+/// round fixes the key set and sizes every table, the second round is
+/// measured.
+fn favorita_profile(label: &str, workload: &Workload, mut engine: Engine<GenCofactor>) {
+    engine.load_database(&workload.database).unwrap();
+    let round = |engine: &mut Engine<GenCofactor>| {
+        for u in &workload.updates {
+            black_box(engine.apply_update(u).unwrap());
+            black_box(engine.apply_update(&u.inverse()).unwrap());
+        }
+    };
+    round(&mut engine);
+    let before = engine.stats();
+    let (dt, da) = measured(|| round(&mut engine));
+    let stats = engine.stats();
+    let rows = (stats.rows_applied - before.rows_applied) as f64;
+    println!(
+        "{label}: {:>7.0} ns/row  {:>6.1} allocs/row  {:>7.1} ring rehashes/krow  {:>6.1} MB table_bytes  ({rows} rows)",
+        dt.as_nanos() as f64 / rows,
+        da as f64 / rows,
+        (stats.ring_rehashes - before.ring_rehashes) as f64 * 1000.0 / rows,
+        stats.table_bytes as f64 / (1024.0 * 1024.0),
+    );
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
+    if std::env::args().any(|a| a == "--favorita") {
+        let workload = Workload::favorita(
+            fivm_data::FavoritaConfig::default(),
+            fivm_data::StreamConfig {
+                bulks: if quick { 2 } else { 10 },
+                bulk_size: 1_000,
+                delete_fraction: 0.2,
+                seed: 1,
+            },
+        );
+        println!(
+            "Favorita, {} bulks of 1000 rows, each applied then inverted",
+            workload.updates.len()
+        );
+        favorita_profile("gen-COVAR", &workload, workload.gen_covar_engine());
+        favorita_profile("MI       ", &workload, workload.mi_engine());
+        return;
+    }
     let workload = Workload::retailer(
         fivm_data::RetailerConfig::default(),
         fivm_data::StreamConfig {

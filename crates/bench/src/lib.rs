@@ -411,20 +411,16 @@ impl RingAblation {
 /// view, which holds the overwhelming majority of an engine's ring
 /// payloads (one payload per distinct fact key, versus a handful of
 /// coarser interior/root keys).  That is the regime the ring interior
-/// lives in: *many small tables*, which is exactly what the old
-/// `Option`-slot layout taxed most (8-slot minimum capacity, per-slot
-/// discriminant).
+/// lives in: *many tiny relations*.
 ///
-/// Three numbers come out, all for identical logical relations:
+/// Two numbers come out, both for identical logical relations and both
+/// full footprints — the value itself (`size_of`) plus the heap it owns,
+/// because a one-entry [`RelValue`] lives inline and owns no heap at all:
 ///
-/// * **new** — [`RelValue::allocated_bytes`] under the discriminant-free
-///   split layout,
-/// * **option** — the modeled cost of the previous
-///   `Vec<Option<(u64, RelKey, f64)>>` layout (same growth policy with the
-///   old 8-slot minimum; per-slot cost taken from `size_of` so the model
-///   tracks the compiler's real `Option` layout),
-/// * **boxed** — [`BoxedRelValue::approx_heap_bytes`] of the boxed-`Value`
-///   reference representation.
+/// * **new** — `size_of::<RelValue>()` + [`RelValue::allocated_bytes`],
+/// * **boxed** — `size_of::<BoxedRelValue>()` +
+///   [`BoxedRelValue::approx_heap_bytes`] of the boxed-`Value` reference
+///   representation.
 pub struct MemAblation {
     scalar: Vec<RelValue>,
     linear: Vec<RelValue>,
@@ -510,21 +506,20 @@ impl MemAblation {
         encoded
     }
 
-    /// Total bytes under the new discriminant-free layout.
+    /// Total footprint of the encoded relations (values + owned heap).
     pub fn new_bytes(&self) -> usize {
-        self.relations().map(RelValue::allocated_bytes).sum()
+        self.relations()
+            .map(|r| std::mem::size_of::<RelValue>() + r.allocated_bytes())
+            .sum()
     }
 
-    /// Total bytes under the modeled `Option`-slot layout
-    /// ([`RelValue::option_layout_bytes`], the one model shared with the
-    /// regression gate in `crates/ring/tests/mem_gate.rs`).
-    pub fn option_bytes(&self) -> usize {
-        self.relations().map(RelValue::option_layout_bytes).sum()
-    }
-
-    /// Total approximate bytes under the boxed-`Value` reference layout.
+    /// Total approximate footprint under the boxed-`Value` reference
+    /// layout (values + owned heap).
     pub fn boxed_bytes(&self) -> usize {
-        self.boxed.iter().map(BoxedRelValue::approx_heap_bytes).sum()
+        self.boxed
+            .iter()
+            .map(|r| std::mem::size_of::<BoxedRelValue>() + r.approx_heap_bytes())
+            .sum()
     }
 }
 
@@ -806,12 +801,6 @@ mod tests {
         let entries = mem.entries();
         assert!(entries > 0);
         assert!(mem.new_bytes() > 0);
-        // The modeled option layout can never beat the new layout.  (No
-        // ordering is asserted against the boxed side: a singleton-heavy
-        // population makes a 1-entry `FxHashMap` smaller than the old
-        // 8-slot table floor — the boxed layout loses on speed and
-        // allocation count, not necessarily on resident bytes.)
-        assert!(mem.new_bytes() <= mem.option_bytes());
         assert!(mem.boxed_bytes() > 0);
     }
 

@@ -20,9 +20,21 @@
 //! groups of eight bytes with portable SWAR word tricks (no SIMD
 //! intrinsics) so most mismatched slots are rejected eight at a time
 //! without reading any entry.  Groups are visited in triangular order
-//! (every group reached, no primary clustering), and deletion uses
-//! tombstones.  Tombstone-heavy tables are compacted in place by a
-//! same-size rehash instead of growing.  Growth events are counted in
+//! (every group reached, no primary clustering).  Deletion follows the
+//! swiss-table rule: a removed slot goes back to `EMPTY` whenever its
+//! (aligned) control group still holds an `EMPTY` byte, and becomes a
+//! tombstone only in a group that is otherwise full.  A lookup leaves a
+//! group for the next one only when the group has no `EMPTY` byte, and a
+//! group never regains one except through this rule, a clear or a rehash
+//! — so a group that shows an `EMPTY` byte now has shown one ever since,
+//! no probe chain has ever continued past it, and freeing one of its
+//! slots outright cannot cut a chain.  Every table of at most eight slots
+//! is a single group that the load factor never fills (a 2- or 4-slot
+//! table keeps permanently-empty padding bytes, an 8-slot table never
+//! holds more than 6 entries), so small tables — the relation-ring
+//! interiors under cancel-and-refill churn — never tombstone at all.
+//! Tables that do collect tombstones are compacted in place by a same-size
+//! rehash instead of growing.  Rehash events are counted in
 //! [`RawTable::rehashes`], which the engine surfaces as an `EngineStats`
 //! counter — a key is re-bucketed (never re-hashed) only when a table
 //! grows or compacts.
@@ -42,7 +54,9 @@
 //!
 //! Every transition maintains it: `occupy`/`insert` write the entry before
 //! (or with) the control byte, `remove_at`/`retain` read the entry out (or
-//! drop it in place) while marking the byte dead, `clear`/`drop` walk the
+//! drop it in place) while marking the byte dead (`EMPTY` or tombstone —
+//! both read dead, so the choice is invisible to the invariant),
+//! `clear`/`drop` walk the
 //! control bytes to drop exactly the live entries, and `rehash` moves
 //! entries bitwise into a fresh array.  All `unsafe` is confined to this
 //! module; the public API stays safe (slot-index accessors check the
@@ -63,9 +77,10 @@
 use std::fmt;
 use std::mem::MaybeUninit;
 
-/// Control byte: slot has never held an entry (probe chains stop here).
+/// Control byte: a free slot no probe chain has passed (chains stop here).
 const CTRL_EMPTY: u8 = 0x80;
-/// Control byte: slot held an entry that was removed (probe chains go on).
+/// Control byte: slot held an entry that was removed from a group with no
+/// `EMPTY` byte left (probe chains may have passed it, so they go on).
 const CTRL_TOMBSTONE: u8 = 0x81;
 
 /// The 7-bit hash fragment stored in a slot's control byte.
@@ -166,6 +181,8 @@ pub struct RawTable<K, V> {
     /// Entry storage; `entries[i]` is initialized iff `ctrl[i]` is live.
     entries: Box<[MaybeUninit<(K, V)>]>,
     len: usize,
+    /// Slots whose control byte is `CTRL_TOMBSTONE` (removals that went
+    /// back to `CTRL_EMPTY` are not counted — they cost no load).
     tombstones: usize,
     rehashes: u64,
 }
@@ -411,21 +428,36 @@ impl<K, V> RawTable<K, V> {
         self.len += 1;
     }
 
+    /// Marks a live slot's control byte dead by the swiss-table deletion
+    /// rule (module docs): `EMPTY` when the slot's aligned group still has
+    /// an `EMPTY` byte — no probe chain can have continued past such a
+    /// group — and a counted tombstone otherwise.  The caller disposes of
+    /// the entry and adjusts `len`.
+    #[inline]
+    fn mark_dead(&mut self, idx: usize) {
+        debug_assert!(self.ctrl[idx] < CTRL_EMPTY, "mark_dead on a dead slot");
+        if match_bytes(load_group(&self.ctrl, idx / GROUP), CTRL_EMPTY) != 0 {
+            self.ctrl[idx] = CTRL_EMPTY;
+        } else {
+            self.ctrl[idx] = CTRL_TOMBSTONE;
+            self.tombstones += 1;
+        }
+    }
+
     /// Removes the entry at a slot index; `None` if the slot is dead.
     pub fn remove_at(&mut self, idx: usize) -> Option<(K, V)> {
         if self.ctrl[idx] >= CTRL_EMPTY {
             return None;
         }
-        self.ctrl[idx] = CTRL_TOMBSTONE;
+        self.mark_dead(idx);
         self.len -= 1;
-        self.tombstones += 1;
         // The control byte now marks the slot dead, so the entry read is
         // the single move out of the slot.
         Some(unsafe { self.entries[idx].assume_init_read() })
     }
 
     /// Inserts an entry **known to be absent** (the caller has already
-    /// probed with the same hash).  Reuses tombstone slots.
+    /// probed with the same hash).  Reuses freed and tombstone slots.
     pub fn insert(&mut self, hash: u64, key: K, value: V) {
         self.reserve_one();
         let groups = self.ctrl.len() / GROUP;
@@ -496,7 +528,6 @@ impl<K, V> RawTable<K, V> {
             base += GROUP;
         }
         self.len -= removed;
-        self.tombstones += removed;
     }
 
     /// Applies the retain predicate to one slot; returns whether the slot
@@ -510,7 +541,7 @@ impl<K, V> RawTable<K, V> {
         if f(k, v) {
             false
         } else {
-            self.ctrl[i] = CTRL_TOMBSTONE;
+            self.mark_dead(i);
             // Dead per the control byte; drop the entry in place.
             unsafe { self.entries[i].assume_init_drop() };
             true
@@ -986,7 +1017,7 @@ mod tests {
             }
         }
         assert_eq!(t.get(h(9), &9), Some(&19));
-        // remove_at via probe, then the tombstone is reused by occupy.
+        // remove_at via probe, then the freed slot is reused by occupy.
         let Probe::Found(idx) = t.probe(h(9), |key, _| *key == 9) else {
             panic!("expected hit");
         };

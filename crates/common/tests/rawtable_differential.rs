@@ -373,3 +373,138 @@ fn tombstone_churn_reuses_slots_without_unbounded_growth() {
         }
     });
 }
+
+/// The swiss-table deletion rule under cancel-and-refill churn: a removed
+/// slot goes back to `EMPTY` while its control group still shows an `EMPTY`
+/// byte, so a table that fits one group — 2, 4 and 8 slots, filled to the
+/// most the load factor admits — never collects a tombstone and therefore
+/// never compacts, however long it churns.  Multi-group tables (16 and 64
+/// slots, here at half load) tombstone only inside groups that filled up,
+/// and refills reuse those slots, so they stay flat too.  Runs under the
+/// drop-counting keys: every freed slot must have dropped exactly once.
+#[test]
+fn cancel_and_refill_never_rehashes_after_the_first_fill() {
+    for (cap, n) in [(2usize, 1u64), (4, 3), (8, 6), (16, 8), (64, 32)] {
+        for_cases("cancel_and_refill", 6, |rng| {
+            let live = std::sync::Arc::new(std::sync::atomic::AtomicIsize::new(0));
+            let mut table: RawTable<DropKey, String> = RawTable::new();
+            // First fill: the table grows to its steady capacity.
+            for k in 0..n {
+                table.insert(h(k), DropKey::new(k, &live), format!("v{k}"));
+            }
+            assert_eq!(
+                table.capacity(),
+                cap,
+                "test premise: {n} entries settle at {cap} slots"
+            );
+            let rehashes = table.rehashes();
+            let mut present: Vec<bool> = vec![true; n as usize];
+            for round in 0..300 {
+                // Cancel a random subset — every third round all of it —
+                // through remove or a retain sweep...
+                let all = round % 3 == 0;
+                let doomed: Vec<u64> = (0..n).filter(|_| all || rng.gen_bool(0.5)).collect();
+                if rng.gen_bool(0.5) {
+                    table.retain(|kk, _| !doomed.contains(&kk.k));
+                } else {
+                    for &k in &doomed {
+                        let probe = DropKey::new(k, &live);
+                        let removed = table.remove_with(h(k), |kk, _| *kk == probe);
+                        assert_eq!(removed.is_some(), present[k as usize]);
+                    }
+                }
+                for &k in &doomed {
+                    present[k as usize] = false;
+                }
+                assert_eq!(
+                    live.load(std::sync::atomic::Ordering::Relaxed),
+                    table.len() as isize,
+                    "a cancelled entry leaked or dropped twice"
+                );
+                // ...then refill some of the holes, through the upsert walk
+                // or the known-absent insert.
+                for k in 0..n {
+                    if present[k as usize] || rng.gen_bool(0.3) {
+                        continue;
+                    }
+                    let key = DropKey::new(k, &live);
+                    if rng.gen_bool(0.5) {
+                        match table.probe(h(k), |kk, _| *kk == key) {
+                            Probe::Vacant(idx) => table.occupy(idx, h(k), key, format!("v{k}")),
+                            Probe::Found(_) => panic!("cancelled key {k} still present"),
+                        }
+                    } else {
+                        table.insert(h(k), key, format!("v{k}"));
+                    }
+                    present[k as usize] = true;
+                }
+                for k in 0..n {
+                    let probe = DropKey::new(k, &live);
+                    assert_eq!(
+                        table.find(h(k), |kk, _| *kk == probe).is_some(),
+                        present[k as usize],
+                        "cap {cap}, round {round}: key {k} presence diverged"
+                    );
+                }
+            }
+            assert_eq!(table.rehashes(), rehashes, "cap {cap}: churn rehashed");
+            assert_eq!(table.capacity(), cap);
+            drop(table);
+            assert_eq!(live.load(std::sync::atomic::Ordering::Relaxed), 0);
+        });
+    }
+}
+
+/// The other half of the rule: a slot freed in a group that has **no**
+/// `EMPTY` byte left must stay a tombstone, because keys displaced past
+/// that group are only reachable by probing through it.  Hashes are
+/// caller-supplied, so the test sends ten keys to one home group of a
+/// two-group (16-slot) and an eight-group (64-slot) table: eight fill the
+/// group, two land further along the probe chain.
+#[test]
+fn keys_displaced_past_a_full_group_survive_removals_in_it() {
+    for slots in [16usize, 64] {
+        let live = std::sync::Arc::new(std::sync::atomic::AtomicIsize::new(0));
+        let mut table: RawTable<DropKey, String> = RawTable::with_capacity(slots * 3 / 4);
+        assert_eq!(table.capacity(), slots);
+        let groups = (slots / 8) as u64;
+        // Home group 1 for every key; distinct hashes above the group bits.
+        let hash = |k: u64| 1 % groups + groups * (k + 1) * 0x9E37_79B9;
+        for k in 0..10u64 {
+            table.insert(hash(k), DropKey::new(k, &live), format!("v{k}"));
+        }
+        let rehashes = table.rehashes();
+        let present = |table: &RawTable<DropKey, String>, k: u64| {
+            table.find(hash(k), |kk, _| kk.k == k).is_some()
+        };
+        // Remove neighbours inside the full home group: the displaced keys
+        // 8 and 9 must stay reachable through it.
+        for k in [3u64, 0, 7] {
+            assert!(table.remove_with(hash(k), |kk, _| kk.k == k).is_some());
+            assert!(
+                present(&table, 8) && present(&table, 9),
+                "{slots} slots: lost a displaced key"
+            );
+            assert!(!present(&table, k));
+        }
+        // Remove a displaced key from its (non-full) group: the other one
+        // and the survivors of the full group are untouched.
+        assert!(table.remove_with(hash(8), |kk, _| kk.k == 8).is_some());
+        assert!(present(&table, 9) && !present(&table, 8));
+        // Refill: the freed slots are reused, nothing compacts or grows.
+        for k in [0u64, 3, 7, 8] {
+            table.insert(hash(k), DropKey::new(k, &live), format!("v{k}"));
+        }
+        for k in 0..10u64 {
+            assert!(
+                present(&table, k),
+                "{slots} slots: key {k} lost after refill"
+            );
+        }
+        assert_eq!(table.len(), 10);
+        assert_eq!(table.rehashes(), rehashes);
+        assert_eq!(live.load(std::sync::atomic::Ordering::Relaxed), 10);
+        drop(table);
+        assert_eq!(live.load(std::sync::atomic::Ordering::Relaxed), 0);
+    }
+}

@@ -34,6 +34,26 @@
 //! Composed views (empty key folded back in) are available at the output
 //! boundary via [`GenCofactorElem::sum`] / [`GenCofactorElem::prod`].
 //!
+//! The categorical components of a single joined tuple hold one key each,
+//! and a one-entry [`RelValue`] is stored inline — so a single-tuple payload
+//! owns its four vectors and nothing else, and lifting a category into an
+//! empty component allocates nothing.
+//!
+//! # The support-aware product
+//!
+//! The `Elem × Elem` arm of [`Ring::fma_scaled`] owes every interaction
+//! `Q_ij` the cross terms `s_a[i] ⋈ s_b[j] + s_b[i] ⋈ s_a[j]`.  The operands
+//! of a view-tree product cover *disjoint* attribute sets (each variable is
+//! lifted in one subtree), so for most `(i, j)` one factor of each term is
+//! zero.  The arm derives, per call and from the operands alone, which
+//! indices carry any mass and which carry categorical mass (two bit sets
+//! per operand, `dim` emptiness checks each — nothing stored, nothing to
+//! keep in sync) and visits the cross terms of a pair only if one of them
+//! can be non-zero.  Skipped calls are exactly the ones that would have
+//! returned without touching the accumulator, so results are unchanged to
+//! the bit (`tests/gencofactor_support.rs` checks against an expansion
+//! into sparse-lift monomials that never takes this arm).
+//!
 //! # The sparse lift path
 //!
 //! A lifted input value is extremely sparse: count 1, one non-zero `s`
@@ -109,6 +129,41 @@ fn compose(scalar: f64, cats: &RelValue) -> RelValue {
         out.add_entry(&RelKey::empty(), scalar);
     }
     out
+}
+
+/// Which linear aggregates of an element carry mass, as two bit sets over
+/// the attribute index: `cat` — the categorical part `sums_cats[i]` is
+/// non-empty; `any` — that, or the continuous mass `sums_scalar[i]` is
+/// non-zero.  Derived from the operands at every product (a dozen
+/// emptiness checks), never stored, so there is nothing to keep in sync.
+/// Indices past the 64 a word holds read as carrying mass, which only
+/// costs them the skip.
+#[derive(Clone, Copy)]
+struct Support {
+    any: u64,
+    cat: u64,
+}
+
+impl Support {
+    fn of(e: &GenCofactorElem) -> Support {
+        let (mut any, mut cat) = (0u64, 0u64);
+        for (i, (&x, r)) in e.sums_scalar.iter().zip(&e.sums_cats).enumerate().take(64) {
+            let c = u64::from(!r.is_empty());
+            cat |= c << i;
+            any |= (c | u64::from(x != 0.0)) << i;
+        }
+        Support { any, cat }
+    }
+
+    #[inline]
+    fn any(self, i: usize) -> bool {
+        i >= 64 || (self.any >> i) & 1 == 1
+    }
+
+    #[inline]
+    fn cat(self, i: usize) -> bool {
+        i >= 64 || (self.cat >> i) & 1 == 1
+    }
 }
 
 impl GenCofactorElem {
@@ -567,9 +622,11 @@ impl GenCofactor {
     }
 
     /// Heap bytes of this element's interior allocations: the dense scalar
-    /// buffers, the `sums`/`prods` vector buffers, plus every component
-    /// relation's table arrays (see [`RelValue::allocated_bytes`] for the
-    /// accounting boundary).  Scalars own nothing.
+    /// buffers, the `sums`/`prods` vector buffers — which is where inline
+    /// one-entry relations live, at `size_of::<RelValue>()` per slot — plus
+    /// the boxed table of every component that holds one (see
+    /// [`RelValue::allocated_bytes`] for the accounting boundary).  Scalars
+    /// own nothing.
     pub fn allocated_bytes(&self) -> usize {
         match self {
             GenCofactor::Scalar(_) => 0,
@@ -716,22 +773,33 @@ impl Ring for GenCofactor {
                     o.sums_cats[i].add_scaled(&ea.sums_cats[i], ka);
                     o.sums_cats[i].add_scaled(&eb.sums_cats[i], kb);
                 }
+                // The cross terms of pair (i, j) are
+                //   s·(s_a[i] ⋈ s_b[j]) + s·(s_b[i] ⋈ s_a[j]),
+                // with the scalar×scalar parts already in `prods_scalar`
+                // via the symmetric outer above: scalar×cats scales a
+                // copy, cats×cats joins.  The first needs mass of `a` at i
+                // and of `b` at j, one of them categorical; the second the
+                // mirror image.  Join-tree operands cover disjoint
+                // attribute sets, so most pairs have neither and are
+                // skipped whole — every call skipped would have been a
+                // no-op, so the result is the same to the bit.
+                let (sa, sb) = (Support::of(ea), Support::of(eb));
                 for i in 0..dim {
                     for j in i..dim {
                         let t = tri_index(dim, i, j);
                         let q = &mut o.prods_cats[t];
                         q.add_scaled(&ea.prods_cats[t], ka);
                         q.add_scaled(&eb.prods_cats[t], kb);
-                        // Cross terms s·(s_a[i] ⋈ s_b[j]) + s·(s_b[i] ⋈
-                        // s_a[j]), with the scalar×scalar parts already in
-                        // `prods_scalar` via the symmetric outer above:
-                        // scalar×cats scales a copy, cats×cats joins.
-                        q.add_scaled(&eb.sums_cats[j], s * ea.sums_scalar[i]);
-                        q.add_scaled(&ea.sums_cats[i], s * eb.sums_scalar[j]);
-                        q.add_product_scaled(&ea.sums_cats[i], &eb.sums_cats[j], s);
-                        q.add_scaled(&ea.sums_cats[j], s * eb.sums_scalar[i]);
-                        q.add_scaled(&eb.sums_cats[i], s * ea.sums_scalar[j]);
-                        q.add_product_scaled(&eb.sums_cats[i], &ea.sums_cats[j], s);
+                        if sa.any(i) && sb.any(j) && (sa.cat(i) || sb.cat(j)) {
+                            q.add_scaled(&eb.sums_cats[j], s * ea.sums_scalar[i]);
+                            q.add_scaled(&ea.sums_cats[i], s * eb.sums_scalar[j]);
+                            q.add_product_scaled(&ea.sums_cats[i], &eb.sums_cats[j], s);
+                        }
+                        if sb.any(i) && sa.any(j) && (sb.cat(i) || sa.cat(j)) {
+                            q.add_scaled(&ea.sums_cats[j], s * eb.sums_scalar[i]);
+                            q.add_scaled(&eb.sums_cats[i], s * ea.sums_scalar[j]);
+                            q.add_product_scaled(&eb.sums_cats[i], &ea.sums_cats[j], s);
+                        }
                     }
                 }
             }

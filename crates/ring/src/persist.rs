@@ -322,6 +322,104 @@ mod tests {
         );
     }
 
+    /// Encodes, decodes and encodes again; the two byte strings must be
+    /// identical (decode → encode is the identity on wire bytes).
+    fn reencoded<R: PersistRing>(v: &R) -> (Vec<u8>, R) {
+        let mut first = Vec::new();
+        v.encode(&mut first);
+        let restored = R::decode(&mut WireReader::new(&first)).expect("decode");
+        let mut second = Vec::new();
+        restored.encode(&mut second);
+        assert_eq!(first, second, "decode -> encode changed the bytes");
+        (first, restored)
+    }
+
+    #[test]
+    fn relvalue_wire_form_is_representation_independent() {
+        // The wire form of a relation is `u32 len` then `(u64 hash, key,
+        // f64 weight)` per entry — written out here by hand, so a change
+        // of the in-memory shape cannot move it.
+        let key = RelKey::singleton(1, EncodedValue::int(5));
+        let mut golden = Vec::new();
+        put_u32(&mut golden, 1);
+        put_u64(&mut golden, key.fx_hash());
+        put_u8(&mut golden, 1);
+        put_u32(&mut golden, 1);
+        put_encoded_value(&mut golden, EncodedValue::int(5));
+        put_f64(&mut golden, 2.0);
+
+        let inline = RelValue::weighted(1, EncodedValue::int(5), 2.0);
+        assert_eq!(inline.allocated_bytes(), 0);
+        // The same relation held by a table that shrank to one entry.
+        let mut table = inline.clone();
+        table.add_entry(&RelKey::singleton(1, EncodedValue::int(6)), 1.0);
+        table.add_entry(&RelKey::singleton(1, EncodedValue::int(6)), -1.0);
+        assert!(table.allocated_bytes() > 0 && table == inline);
+
+        for v in [&inline, &table] {
+            let (bytes, restored) = reencoded(v);
+            assert_eq!(bytes, golden);
+            assert_eq!(&restored, v);
+            // A restored singleton is inline whatever held it when saved.
+            assert_eq!(restored.allocated_bytes(), 0);
+            assert_eq!(restored.table_rehashes(), 0);
+        }
+        // Bytes written before the inline singleton existed load the same.
+        let old = RelValue::decode(&mut WireReader::new(&golden)).expect("decode");
+        assert_eq!(old, inline);
+
+        // The empty relation is four zero bytes and restores to no heap.
+        let (bytes, restored) = reencoded(&RelValue::empty());
+        assert_eq!(bytes, [0u8; 4]);
+        assert!(restored.is_empty() && restored.allocated_bytes() == 0);
+
+        // Multi-entry relations: a restored (right-sized) value re-encodes
+        // to the bytes it was decoded from.
+        let mut many = RelValue::scalar(2.0);
+        for i in 0..40 {
+            many.add_entry(&RelKey::singleton(3, EncodedValue::int(i)), i as f64 - 0.5);
+        }
+        let (_, restored) = reencoded(&many);
+        assert_eq!(restored, many);
+        reencoded(&restored);
+    }
+
+    #[test]
+    fn gen_cofactor_decode_encode_is_byte_identical() {
+        let cat =
+            |idx: usize, v: i64| GenCofactor::lift_categorical(3, idx, idx, EncodedValue::int(v));
+        // One joined tuple (every component inline) and a sum of two
+        // (components with two categories are tables).
+        let tuple = cat(0, 1)
+            .mul(&cat(1, 7))
+            .mul(&GenCofactor::lift_continuous(3, 2, 2.5));
+        let two = tuple.add(
+            &cat(0, 2)
+                .mul(&cat(1, 7))
+                .mul(&GenCofactor::lift_continuous(3, 2, -1.0)),
+        );
+        for v in [&tuple, &two, &GenCofactor::Scalar(3.0)] {
+            let (_, restored) = reencoded(v);
+            assert_eq!(&restored, v);
+            assert_eq!(restored.table_rehashes(), 0);
+            assert!(restored.allocated_bytes() <= v.allocated_bytes());
+        }
+        // A single tuple's payload owns its dense buffers and component
+        // vectors only — no relation of it touches the heap.
+        let GenCofactor::Elem(e) = &tuple else {
+            panic!("dense element expected");
+        };
+        let interiors: usize = (0..3)
+            .map(|i| e.sum_cats(i).allocated_bytes())
+            .chain(
+                (0..3)
+                    .flat_map(|i| (i..3).map(move |j| (i, j)))
+                    .map(|(i, j)| e.prod_cats(i, j).allocated_bytes()),
+            )
+            .sum();
+        assert_eq!(interiors, 0);
+    }
+
     #[test]
     fn corrupt_payloads_are_typed_errors() {
         // Bad variant tag.

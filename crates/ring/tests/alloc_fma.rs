@@ -111,6 +111,72 @@ fn gen_cofactor_singleton_lift_fma_does_not_allocate_when_warm() {
     );
 }
 
+/// A single tuple's categories are one-entry relations, and one-entry
+/// relations live inline: lifting a categorical value into a dense element
+/// whose components are empty — a fresh zero, or a payload the delta pool
+/// handed back after `reset_zero` — performs **no** allocation (each
+/// touched component used to build a three-allocation table), and so does
+/// cancelling it again and cloning the result.
+#[test]
+fn categorical_lift_into_zero_or_pooled_elem_does_not_allocate() {
+    let dim = 6;
+    let cat = |v: i64| EncodedValue::int(v);
+    let one = GenCofactor::scalar(1.0);
+    // A fresh dense zero.
+    let mut fresh = GenCofactor::lift_continuous(dim, 0, 1.0);
+    fresh.reset_zero();
+    // A pooled payload: held two joined tuples (so some components grew
+    // into tables, which `reset_zero` keeps cleared), then was reset.
+    let tuple = |a: i64, b: i64| {
+        GenCofactor::lift_categorical(dim, 1, 1, cat(a))
+            .mul(&GenCofactor::lift_categorical(dim, 2, 2, cat(b)))
+            .mul(&GenCofactor::lift_continuous(dim, 3, -1.5))
+    };
+    let mut pooled = tuple(3, 4).add(&tuple(5, 4));
+    pooled.reset_zero();
+    assert!(fresh.is_zero() && pooled.is_zero());
+    assert!(
+        pooled.payload_bytes() > fresh.payload_bytes(),
+        "test premise: kept tables"
+    );
+
+    for (name, slot) in [("zero", &mut fresh), ("pooled", &mut pooled)] {
+        let bytes = slot.payload_bytes();
+        let allocs = allocations_during(|| {
+            for v in [3i64, 5, 3] {
+                slot.fma_lift_categorical(&one, dim, 1, 1, cat(v), 1);
+                std::hint::black_box(&*slot);
+                slot.fma_lift_categorical(&one, dim, 1, 1, cat(v), -1);
+            }
+            slot.fma_lift_categorical(&one, dim, 2, 2, cat(4), 1);
+        });
+        assert_eq!(
+            allocs, 0,
+            "categorical lift into a {name} Elem allocated {allocs} times"
+        );
+        assert_eq!(slot.count(), 1.0);
+        assert_eq!(
+            slot.payload_bytes(),
+            bytes,
+            "{name}: the lifts changed the footprint"
+        );
+    }
+
+    // The relation-level statement: one-entry relations never touch the heap.
+    let allocs = allocations_during(|| {
+        let mut r = RelValue::weighted(2, cat(7), 2.0);
+        r.add_scaled(&RelValue::weighted(2, cat(7), 1.0), -2.0);
+        assert!(r.is_zero());
+        r.fma_scaled(
+            &RelValue::weighted(1, cat(1), 1.0),
+            &RelValue::weighted(2, cat(2), 1.0),
+            1,
+        );
+        std::hint::black_box(r.clone());
+    });
+    assert_eq!(allocs, 0, "one-entry relations allocated {allocs} times");
+}
+
 /// The batch-fused lift channel must be allocation-free once warm: a run
 /// of scalar-weight rows applied over pooled columnar buffers reduces to
 /// dense scalar updates (continuous) or prehashed upserts into already-

@@ -3,14 +3,14 @@
 //! ([`BoxedRelValue`]) under identical random operation streams.
 //!
 //! Mirrors `crates/common/tests/rawtable_differential.rs` one layer up: the
-//! hash-once interior (encoded keys, caller-supplied hashes, tombstone
-//! pruning) must be observationally identical to the straightforward
+//! hash-once interior (encoded keys, caller-supplied hashes, eager pruning,
+//! inline singletons) must be observationally identical to the straightforward
 //! hash-map implementation on every ring operation, including the key edge
 //! cases the encoding canonicalizes — strings (dictionary ids), integers,
 //! `-0.0` vs `0.0`, and NaN payloads.
 
 use fivm_common::Value;
-use fivm_ring::{BoxedRelValue, RelValue, Ring, RingCtx};
+use fivm_ring::{ApproxEq, BoxedRelValue, RelValue, Ring, RingCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -227,4 +227,134 @@ fn string_joins_agree_across_attributes() {
     let enc2 = enc.mul(&RelValue::indicator(0, blue));
     let boxed2 = boxed.mul(&BoxedRelValue::indicator(0, Value::str("blue")));
     assert!(enc2.is_zero() && boxed2.is_zero());
+}
+
+/// A relation's interior changes shape with its number of distinct keys —
+/// nothing, an inline singleton, a table — and the shape must be
+/// unobservable.  Seeded streams walk one accumulator through
+/// `Empty → One → Table → (cancel) → 1 entry → 0 → refill` against the
+/// boxed reference, with every kind of key (strings, `-0.0`, NaN, NULL)
+/// taking its turn in the inline slot.
+#[test]
+fn representation_transitions_agree_with_the_boxed_reference() {
+    let pool = value_pool();
+    for seed in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(0x0E1A + seed);
+        let ctx = RingCtx::new();
+        let mut enc = RelValue::empty();
+        let mut boxed = BoxedRelValue::empty();
+        // Both sides of one weighted singleton `{(attr = v) -> w}`.
+        let single = |attr: usize, v: &Value, w: f64| {
+            (
+                RelValue::weighted(attr, ctx.encode_value(v), w),
+                BoxedRelValue::weighted(attr, v.clone(), w),
+            )
+        };
+        for cycle in 0..6 {
+            let what = |stage: &str| format!("seed {seed}, cycle {cycle}, {stage}");
+            // Empty → One: a random key takes the inline slot.
+            let first = pool[rng.gen_range(0..pool.len())].clone();
+            let w1 = [0.5, -1.5, 2.0][rng.gen_range(0..3usize)];
+            let (e, b) = single(0, &first, w1);
+            enc.add_assign(&e);
+            boxed.add_assign(&b);
+            assert_same(&ctx, &enc, &boxed, &what("empty -> one"));
+            assert_eq!(enc.len(), 1);
+
+            // A different key with the weight that would cancel the inline
+            // entry must not cancel it: One → Table.
+            let mut second = pool[rng.gen_range(0..pool.len())].clone();
+            while second == first {
+                second = pool[rng.gen_range(0..pool.len())].clone();
+            }
+            let (e, b) = single(0, &second, -w1);
+            enc.add_assign(&e);
+            boxed.add_assign(&b);
+            assert_same(&ctx, &enc, &boxed, &what("one -> table"));
+            assert_eq!(
+                enc.len(),
+                2,
+                "{}",
+                what("a different key cancelled the inline entry")
+            );
+
+            // Grow the table by a few more keys (other attribute, joins).
+            let (e, b) = random_pair(&mut rng, &ctx, &pool, 4, 5);
+            enc.add_assign(&e);
+            boxed.add_assign(&b);
+            assert_same(&ctx, &enc, &boxed, &what("table growth"));
+
+            // Cancel everything but the first key: a one-entry table that
+            // equals the inline singleton holding the same entry.
+            let (e, b) = single(0, &first, w1);
+            let (mut rest_e, mut rest_b) = (enc.clone(), boxed.clone());
+            rest_e.add_scaled(&e, -1.0);
+            rest_b.add_scaled(&b, -1.0);
+            enc.add_scaled(&rest_e, -1.0);
+            boxed.add_scaled(&rest_b, -1.0);
+            assert_same(&ctx, &enc, &boxed, &what("cancel to one entry"));
+            assert_eq!(enc.len(), 1);
+            assert_eq!(enc, e, "{}", what("one-entry table != inline singleton"));
+            assert_eq!(e, enc, "{}", what("inline singleton != one-entry table"));
+            assert!(enc.approx_eq(&e, 0.0) && e.approx_eq(&enc, 0.0));
+            assert!(enc.allocated_bytes() > 0 && e.allocated_bytes() == 0);
+            // A rebuild picks the inline shape again and changes nothing.
+            assert_eq!(enc.clone(), enc);
+            assert_eq!(enc.clone().allocated_bytes(), 0);
+            // A near-equal inline singleton is approx-equal, not equal.
+            let (near, _) = single(0, &first, w1 + 1e-13);
+            assert!(near.approx_eq(&enc, 1e-9) && enc.approx_eq(&near, 1e-9));
+            assert_ne!(near, enc);
+
+            // → 0: the last entry cancels exactly.
+            enc.add_scaled(&e, -1.0);
+            boxed.add_scaled(&b, -1.0);
+            assert_same(&ctx, &enc, &boxed, &what("cancel to zero"));
+            assert!(enc.is_zero() && enc == RelValue::empty());
+
+            // Every other cycle the accumulator goes back to the pool, as
+            // the engine's delta payloads do; the refill then starts from
+            // a kept (cleared) table instead of the empty shape.
+            if cycle % 2 == 1 {
+                enc.reset_zero();
+                boxed.reset_zero();
+            }
+        }
+    }
+}
+
+/// The inline slot stores the key's hash beside it; a join result, a scaled
+/// copy and a rekeyed copy of an inline singleton must all carry a hash
+/// that still finds the key (so a later promotion buckets it correctly).
+#[test]
+fn inline_singletons_keep_their_hash_through_every_rebuild() {
+    let ctx = RingCtx::new();
+    for v in value_pool() {
+        let one = RelValue::weighted(1, ctx.encode_value(&v), 2.0);
+        assert_eq!(one.allocated_bytes(), 0);
+        let joined = one.mul(&RelValue::weighted(
+            2,
+            ctx.encode_value(&Value::str("j")),
+            0.5,
+        ));
+        for r in [one.neg(), one.scale_int(3), one.clone(), joined] {
+            assert_eq!(r.len(), 1);
+            assert_eq!(
+                r.allocated_bytes(),
+                0,
+                "{v:?}: a one-entry rebuild left the inline shape"
+            );
+            let (h, k, w) = r.iter_hashed().next().expect("one entry");
+            assert_eq!(h, k.fx_hash(), "{v:?}: stored hash went stale");
+            // Promote by a second key, then look the first one up again.
+            let mut grown = r.clone();
+            grown.add_assign(&RelValue::weighted(
+                3,
+                ctx.encode_value(&Value::int(9)),
+                1.0,
+            ));
+            assert_eq!(grown.len(), 2);
+            assert_eq!(grown.get_key(k), w);
+        }
+    }
 }

@@ -63,8 +63,8 @@ bench-ring: clippy
 
 # Memory gate: the bytes-per-entry regression gate and the churn-under-drop
 # storage suite, then a quick run emitting the MEM-* ablation records
-# (bytes/entry boxed vs option-slot vs the discriminant-free layout, plus
-# the Favorita gen-COVAR engine footprint).
+# (bytes/entry of the boxed reference vs the encoded relations, plus the
+# Favorita gen-COVAR engine footprint).
 bench-mem: clippy
     cargo test -p fivm-ring -q --test mem_gate
     cargo test -p fivm-common -q --test rawtable_differential
