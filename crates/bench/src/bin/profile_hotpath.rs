@@ -1,9 +1,7 @@
 //! Diagnostic: allocation counts and phase timings on the maintenance hot
 //! path.  Not an experiment from the paper — a tool for keeping the
 //! in-place hot path honest (run after changes to `fivm-core`/`fivm-ring`
-//! to see allocations/row, probe volume and where the time goes; the
-//! trailing ablation compares allocs/probe and ns/probe between the boxed
-//! and dictionary-encoded key representations).
+//! to see allocations/row, probe volume and where the time goes).
 //!
 //! `--favorita` profiles the ring-bound regime instead: Favorita at default
 //! scale under the generalized COVAR and MI payloads, each 1000-row bulk
@@ -11,7 +9,7 @@
 //! lives in), measured after one warm round — ns/row, allocations/row,
 //! ring-interior rehashes per 1000 rows and the resident `table_bytes`.
 
-use fivm_bench::{ProbeAblation, Workload};
+use fivm_bench::Workload;
 use fivm_core::Engine;
 use fivm_ring::GenCofactor;
 use std::hint::black_box;
@@ -117,33 +115,6 @@ fn main() {
         dt.as_nanos() as f64 / rows as f64,
         covar.stats()
     );
-
-    // Probe ablation: the same fact-table keys probed as boxed Value
-    // tuples vs dictionary-encoded keys (allocs/probe must be 0 for both —
-    // probing never allocates — the difference is pure probe cost).
-    let ablation = ProbeAblation::from_workload(&workload);
-    let passes = if quick { 20 } else { 100 };
-    for (label, encoded) in [("boxed ", false), ("encode", true)] {
-        let (dt, da) = measured(|| {
-            let mut acc = 0i64;
-            for _ in 0..passes {
-                acc += if encoded {
-                    ablation.run_encoded()
-                } else {
-                    ablation.run_boxed()
-                };
-            }
-            black_box(acc);
-        });
-        let probes = (ablation.num_probes() * passes) as f64;
-        println!(
-            "{label}: {:>8.1}M probes/s  {:>6.1} allocs/probe  {:>7.1} ns/probe  ({} keys)",
-            probes / dt.as_secs_f64() / 1e6,
-            da as f64 / probes,
-            dt.as_nanos() as f64 / probes,
-            ablation.len(),
-        );
-    }
 
     // Baseline cost of just iterating + cloning the update rows (what any
     // engine pays before touching views).

@@ -1,7 +1,18 @@
-//! Seeded differential suite for the columnar batch kernel: the same
-//! update streams replayed through engines forced to `KernelMode::Scalar`
-//! (per-row lift dispatch) and `KernelMode::Columnar` (sorted run
-//! detection + batch-fused lifts), results compared at the root.
+//! Seeded differential suite for the columnar batch kernel, driven the way
+//! the kernels are deployed: the propagation kernel picks the scalar walk
+//! below [`COLUMNAR_MIN_ROWS`] input entries and the columnar kernel (sorted
+//! run detection + batch-fused lifts) from there up.  The **reference**
+//! engine therefore receives every table and every update split into calls
+//! of `COLUMNAR_MIN_ROWS - 1` rows — always the scalar walk — and the
+//! engine **under test** receives the whole bulk; results are compared at
+//! the root.
+//!
+//! A level's input is the grouped delta below it, which an index step can
+//! fan out past the threshold however few rows the call had.  The reference
+//! therefore loads the tables smallest first and the fact table last: each
+//! row then finds its sibling views either empty or keyed by columns it
+//! already binds, and no call of the reference reaches a columnar kernel
+//! (the boundary case at the bottom would fail if one did).
 //!
 //! # Exactness
 //!
@@ -22,11 +33,12 @@
 //! All streams carry deletes (`delete_fraction > 0`), so the kernel's
 //! negative-multiplicity and cancel-to-zero paths are exercised; a final
 //! `+pulse/-pulse` replay pins the steady-state hash-once contract
-//! (`rehashes == 0`, `ring_rehashes == 0`) in **both** modes.
+//! (`rehashes == 0`, `ring_rehashes == 0`) on **both** feeds.
 
 use fivm_bench::Workload;
-use fivm_common::Value;
-use fivm_core::{Engine, KernelMode};
+use fivm_common::{EncodedKey, Value};
+use fivm_core::kernel::COLUMNAR_MIN_ROWS;
+use fivm_core::Engine;
 use fivm_dag::{QueryKind, QueryRegistry};
 use fivm_data::{FavoritaConfig, RetailerConfig, StreamConfig};
 use fivm_relation::{BaseTable, Database, Relation, Tuple, Update};
@@ -109,22 +121,62 @@ fn assert_agrees<R: Ring + ApproxEq>(
     }
 }
 
-/// Loads both engines and replays the stream through both, the left one
-/// forced to the scalar kernel and the right one to the columnar kernel
-/// (mode is set *before* the initial load so the bulk path is columnar
-/// too).
+/// Feeds `update` in calls of `COLUMNAR_MIN_ROWS - 1` rows: no level of
+/// such a call sees enough input entries for the columnar kernel.
+fn feed_scalar(update: &Update, mut apply: impl FnMut(&Update)) {
+    for rows in update.rows.chunks(COLUMNAR_MIN_ROWS - 1) {
+        apply(&Update::with_multiplicities(update.table.clone(), rows.to_vec()));
+    }
+}
+
+/// The database as the reference loads it: a rows-free copy (loading it
+/// binds every table's columns without running a kernel) and one insert
+/// update per table, `fact` last.
+fn load_schedule(db: &Database, fact: &str) -> (Database, Vec<Update>) {
+    let mut schemas = Database::new();
+    let mut inserts = Vec::new();
+    for table in db.tables() {
+        schemas
+            .add_table(BaseTable::new(table.name.clone(), table.schema.clone()))
+            .expect("names stay unique");
+        inserts.push(Update::with_multiplicities(table.name.clone(), table.rows.clone()));
+    }
+    inserts.sort_by_key(|u| (u.table == fact, u.rows.len()));
+    (schemas, inserts)
+}
+
+/// Feeds every update to `engine` through [`feed_scalar`].
+fn apply_scalar<'a, R: Ring>(
+    engine: &mut Engine<R>,
+    updates: impl IntoIterator<Item = &'a Update>,
+) {
+    for u in updates {
+        feed_scalar(u, |chunk| {
+            engine.apply_update(chunk).expect("scalar update");
+        });
+    }
+}
+
+/// Loads `db` into `engine` without entering a columnar kernel.
+fn load_scalar<R: Ring>(engine: &mut Engine<R>, db: &Database, fact: &str) {
+    let (schemas, inserts) = load_schedule(db, fact);
+    engine.load_database(&schemas).expect("scalar bind");
+    apply_scalar(engine, &inserts);
+}
+
+/// Loads the database and replays the stream into both engines: the left
+/// one through [`feed_scalar`], the right one in bulk (`load_database`,
+/// whole updates).
 fn run_pair<R: Ring>(
     mut scalar: Engine<R>,
     mut columnar: Engine<R>,
     db: &Database,
     updates: &[Update],
 ) -> (Engine<R>, Engine<R>) {
-    scalar.set_kernel_mode(KernelMode::Scalar);
-    columnar.set_kernel_mode(KernelMode::Columnar);
-    scalar.load_database(db).expect("scalar load");
+    load_scalar(&mut scalar, db, &updates[0].table);
+    apply_scalar(&mut scalar, updates);
     columnar.load_database(db).expect("columnar load");
     for u in updates {
-        scalar.apply_update(u).expect("scalar update");
         columnar.apply_update(u).expect("columnar update");
     }
     (scalar, columnar)
@@ -133,7 +185,7 @@ fn run_pair<R: Ring>(
 /// A `+1`/`-1` pulse over fact rows the engines have already seen — the
 /// steady-state probe from the DAG differential suite.  (A full stream
 /// replay would not do: its deletes keep removing entries, and tombstone
-/// compaction counts as a rehash in either kernel mode.)
+/// compaction counts as a rehash under either kernel.)
 fn steady_state_pulse(db: &Database, fact: &str) -> (Update, Update) {
     let rows: Vec<(Tuple, i64)> = db
         .table(fact)
@@ -143,14 +195,14 @@ fn steady_state_pulse(db: &Database, fact: &str) -> (Update, Update) {
         .take(100)
         .map(|(r, _)| (r.clone(), 1))
         .collect();
-    let plus = Update::with_multiplicities(fact, rows.clone());
-    let minus =
-        Update::with_multiplicities(fact, rows.iter().map(|(r, _)| (r.clone(), -1)).collect());
+    let plus = Update::with_multiplicities(fact, rows);
+    let minus = plus.inverse();
     (plus, minus)
 }
 
-/// Applies the pulse and asserts the hash-once contract held: no
-/// view-table and no ring-interior rehash in either kernel mode.
+/// Applies the pulse — chunked to the scalar engine, whole to the columnar
+/// one — and asserts the hash-once contract held: no view-table and no
+/// ring-interior rehash under either kernel.
 fn assert_steady_state_rehash_free<R: Ring>(
     scalar: &mut Engine<R>,
     columnar: &mut Engine<R>,
@@ -159,15 +211,18 @@ fn assert_steady_state_rehash_free<R: Ring>(
     ctx: &str,
 ) {
     let (plus, minus) = steady_state_pulse(db, fact);
-    for (engine, mode) in [(scalar, "scalar"), (columnar, "columnar")] {
-        let before = engine.stats();
-        engine.apply_update(&plus).expect("steady-state pulse");
-        engine.apply_update(&minus).expect("steady-state pulse");
-        let delta = engine.stats().delta_since(&before);
-        assert_eq!(delta.rehashes, 0, "{ctx}: {mode} kernel rehashed a view in steady state");
+    let before = [scalar.stats(), columnar.stats()];
+    apply_scalar(scalar, [&plus, &minus]);
+    for pulse in [&plus, &minus] {
+        columnar.apply_update(pulse).expect("steady-state pulse");
+    }
+    let after = [scalar.stats(), columnar.stats()];
+    for (kernel, (after, before)) in ["scalar", "columnar"].iter().zip(after.iter().zip(&before)) {
+        let delta = after.delta_since(before);
+        assert_eq!(delta.rehashes, 0, "{ctx}: {kernel} kernel rehashed a view in steady state");
         assert_eq!(
             delta.ring_rehashes, 0,
-            "{ctx}: {mode} kernel rehashed a ring interior in steady state"
+            "{ctx}: {kernel} kernel rehashed a ring interior in steady state"
         );
     }
 }
@@ -308,59 +363,132 @@ fn mi_columnar_matches_scalar_bit_for_bit() {
 }
 
 /// The DAG engine's shared propagation pass under both kernels: one
-/// registry per mode, COUNT + gen-COVAR sharing the quantized Favorita
+/// registry per feed, COUNT + gen-COVAR sharing the quantized Favorita
 /// batches; results bit-for-bit, steady state rehash-free in both.
 #[test]
 fn dag_shared_pass_columnar_matches_scalar() {
     let w = favorita_workload();
     let db = quantize_database(&w.database);
     let updates = quantize_updates(&w.updates);
+    let (schemas, inserts) = load_schedule(&db, &updates[0].table);
+    let (plus, minus) = steady_state_pulse(&db, &updates[0].table);
 
-    let mut registries = Vec::new();
-    for mode in [KernelMode::Scalar, KernelMode::Columnar] {
+    let mut results = Vec::new();
+    for (kernel, chunked) in [("scalar", true), ("columnar", false)] {
         let mut registry = QueryRegistry::new();
-        registry.set_kernel_mode(mode);
         let count_id = registry
             .register(w.tree.clone(), QueryKind::Count, None)
             .expect("register count");
         let gen_id = registry
             .register(w.tree.clone(), QueryKind::GenCovar, None)
             .expect("register gen-covar");
-        registry.load_database(&db).expect("load");
-        for u in &updates {
-            registry.apply_update(u).expect("update");
+        let feed = |registry: &mut QueryRegistry, update: &Update| {
+            let mut apply = |u: &Update| {
+                registry.apply_update(u).expect("update");
+            };
+            if chunked {
+                feed_scalar(update, apply);
+            } else {
+                apply(update);
+            }
+        };
+        if chunked {
+            registry.load_database(&schemas).expect("bind");
+            for u in &inserts {
+                feed(&mut registry, u);
+            }
+        } else {
+            registry.load_database(&db).expect("load");
         }
-        registries.push((registry, count_id, gen_id));
-    }
-    let (columnar, c_count, c_gen) = registries.pop().expect("columnar registry");
-    let (scalar, s_count, s_gen) = registries.pop().expect("scalar registry");
+        for u in &updates {
+            feed(&mut registry, u);
+        }
+        results.push((
+            registry.count_result_relation(count_id).unwrap(),
+            registry.gen_result_relation(gen_id).unwrap(),
+        ));
 
-    assert_agrees(
-        &columnar.count_result_relation(c_count).unwrap(),
-        &scalar.count_result_relation(s_count).unwrap(),
-        Agreement::Exact,
-        "Favorita/DAG-COUNT",
-    );
-    assert_agrees(
-        &columnar.gen_result_relation(c_gen).unwrap(),
-        &scalar.gen_result_relation(s_gen).unwrap(),
-        Agreement::Exact,
-        "Favorita/DAG-gen-COVAR-quantized",
-    );
-
-    let (plus, minus) = steady_state_pulse(&db, &updates[0].table);
-    for (mut registry, mode) in [(scalar, "scalar"), (columnar, "columnar")] {
         let before = registry.stats();
-        registry.apply_update(&plus).expect("steady-state pulse");
-        registry.apply_update(&minus).expect("steady-state pulse");
+        feed(&mut registry, &plus);
+        feed(&mut registry, &minus);
         let after = registry.stats();
         assert_eq!(
             after.rehashes, before.rehashes,
-            "DAG {mode} kernel rehashed a view in steady state"
+            "DAG {kernel} kernel rehashed a view in steady state"
         );
         assert_eq!(
             after.ring_rehashes, before.ring_rehashes,
-            "DAG {mode} kernel rehashed a ring interior in steady state"
+            "DAG {kernel} kernel rehashed a ring interior in steady state"
+        );
+    }
+    let (columnar_count, columnar_gen) = results.pop().expect("columnar results");
+    let (scalar_count, scalar_gen) = results.pop().expect("scalar results");
+    assert_agrees(&columnar_count, &scalar_count, Agreement::Exact, "Favorita/DAG-COUNT");
+    assert_agrees(
+        &columnar_gen,
+        &scalar_gen,
+        Agreement::Exact,
+        "Favorita/DAG-gen-COVAR-quantized",
+    );
+}
+
+/// The policy boundary itself.  Inventory's path through the Retailer tree
+/// is one direct level and three all-primary probe levels, and rows with
+/// pairwise distinct `locn` stay distinct under every projection on it, so
+/// each level's input has as many entries as the call has distinct rows:
+/// 7 take the scalar walk, 8 are the first call to fill `LevelColumns` —
+/// visible in `scratch_bytes` on an engine loaded through [`feed_scalar`],
+/// whose columns are still unallocated.  It is grouped delta entries that
+/// count, not rows: 8 rows over 7 keys stay scalar.  All three agree bit
+/// for bit with the same rows fed one per call.
+#[test]
+fn seven_entries_walk_scalar_and_eight_fill_the_columns() {
+    let w = retailer_workload(true);
+    let db = quantize_database(&w.database);
+    let fact = w.updates[0].table.clone();
+    let loaded = || {
+        let mut engine = w.covar_engine();
+        load_scalar(&mut engine, &db, &fact);
+        engine
+    };
+    let row = |i: i64| (RetailerConfig::inventory_row(i, i, i, (10 + i) as f64), 1);
+    let distinct: Vec<(Tuple, i64)> = (0..COLUMNAR_MIN_ROWS as i64).map(row).collect();
+    let mut repeated = distinct[..COLUMNAR_MIN_ROWS - 1].to_vec();
+    repeated.push(row(0));
+
+    for (rows, fills_columns, ctx) in [
+        (&distinct[..COLUMNAR_MIN_ROWS - 1], false, "7 rows"),
+        (&repeated[..], false, "8 rows over 7 keys"),
+        (&distinct[..], true, "8 rows"),
+    ] {
+        let mut one_call = loaded();
+        let before = one_call.stats().scratch_bytes;
+        one_call
+            .apply_update(&Update::with_multiplicities(fact.clone(), rows.to_vec()))
+            .expect("one call");
+        let grown = one_call.stats().scratch_bytes - before;
+        if fills_columns {
+            // At least the key column; a load that had already been through
+            // a columnar kernel would leave next to nothing to grow.
+            assert!(
+                grown >= COLUMNAR_MIN_ROWS * std::mem::size_of::<EncodedKey>(),
+                "{ctx}: the columnar kernel did not run ({grown} B of new scratch)"
+            );
+        } else {
+            assert_eq!(grown, 0, "{ctx}: the scalar walk grew the scratch");
+        }
+
+        let mut row_by_row = loaded();
+        for r in rows {
+            row_by_row
+                .apply_update(&Update::with_multiplicities(fact.clone(), vec![r.clone()]))
+                .expect("row by row");
+        }
+        assert_agrees(
+            &one_call.result_relation(),
+            &row_by_row.result_relation(),
+            Agreement::Exact,
+            ctx,
         );
     }
 }

@@ -327,7 +327,7 @@ impl ChangelogWriter {
         let mut payload = Vec::new();
         batch.encode(&mut payload);
         let mut framed = Vec::with_capacity(payload.len() + framing::RECORD_OVERHEAD);
-        framing::put_record(&mut framed, &payload);
+        framing::put_record(&mut framed, &payload)?;
         if let Err(e) = self.file.write_all(&framed) {
             self.poisoned = true;
             return Err(e.into());

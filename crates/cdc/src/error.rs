@@ -17,6 +17,11 @@ pub enum CdcError {
     /// short to be a log/snapshot at all.  Distinct from a torn tail,
     /// which is a clean end-of-log, not an error.
     Corrupt(String),
+    /// A record's payload is `len` bytes, over the `max` a framed record
+    /// may carry ([`MAX_RECORD_LEN`](crate::framing::MAX_RECORD_LEN)) —
+    /// readers treat a longer length field as corruption, so writing one
+    /// would produce a file no recovery accepts.  Nothing was written.
+    RecordTooLarge { len: usize, max: usize },
     /// The engine rejected restored or replayed state.
     Engine(EngineError),
     /// A bounded ingest queue refused a batch: the queue was full and the
@@ -44,6 +49,7 @@ impl CdcError {
         match self {
             CdcError::Io(_) => "io",
             CdcError::Corrupt(_) => "corrupt",
+            CdcError::RecordTooLarge { .. } => "record-too-large",
             CdcError::Engine(e) => e.kind(),
             CdcError::Backpressure { .. } => "backpressure",
             CdcError::Poisoned(_) => "poisoned",
@@ -57,6 +63,9 @@ impl fmt::Display for CdcError {
         match self {
             CdcError::Io(e) => write!(f, "durability I/O error: {e}"),
             CdcError::Corrupt(msg) => write!(f, "corrupt durable file: {msg}"),
+            CdcError::RecordTooLarge { len, max } => {
+                write!(f, "record payload of {len} bytes exceeds the {max}-byte record cap")
+            }
             CdcError::Engine(e) => e.fmt(f),
             CdcError::Backpressure { queued } => {
                 write!(f, "ingest queue full ({queued} batches queued): backpressure")
@@ -75,6 +84,7 @@ impl std::error::Error for CdcError {
             CdcError::Io(e) => Some(e),
             CdcError::Engine(e) => Some(e),
             CdcError::Corrupt(_)
+            | CdcError::RecordTooLarge { .. }
             | CdcError::Backpressure { .. }
             | CdcError::Poisoned(_)
             | CdcError::Shutdown => None,

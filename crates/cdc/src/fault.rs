@@ -4,8 +4,8 @@
 //! These helpers mutate durable files in place so tests can assert the
 //! reader-side classification (torn tail vs. corrupt record vs. clean)
 //! and the recovery outcome under each.  They live in the library — not
-//! the test tree — so the bench harness (`exp_recovery`) and downstream
-//! crates can reuse them.
+//! the test tree — so the benchmark (`benchmark/src/service.rs`) and
+//! downstream crates can reuse them.
 
 use crate::error::CdcResult;
 use std::fs::OpenOptions;

@@ -93,12 +93,20 @@ pub fn check_header(bytes: &[u8], magic: &[u8; 4], version: u32) -> CdcResult<us
     Ok(HEADER_LEN)
 }
 
-/// Appends one framed record (`len`, `crc`, payload) to `out`.
-pub fn put_record(out: &mut Vec<u8>, payload: &[u8]) {
-    assert!(payload.len() <= MAX_RECORD_LEN, "record payload over MAX_RECORD_LEN");
+/// Appends one framed record (`len`, `crc`, payload) to `out`, or leaves
+/// `out` untouched and reports [`CdcError::RecordTooLarge`] when the
+/// payload is over [`MAX_RECORD_LEN`].
+pub fn put_record(out: &mut Vec<u8>, payload: &[u8]) -> CdcResult<()> {
+    if payload.len() > MAX_RECORD_LEN {
+        return Err(CdcError::RecordTooLarge {
+            len: payload.len(),
+            max: MAX_RECORD_LEN,
+        });
+    }
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
+    Ok(())
 }
 
 /// Scans the framed records starting at `offset`, returning every payload
@@ -143,7 +151,7 @@ mod tests {
         let mut out = Vec::new();
         put_header(&mut out, MAGIC, 1);
         for p in payloads {
-            put_record(&mut out, p);
+            put_record(&mut out, p).unwrap();
         }
         out
     }
@@ -205,5 +213,18 @@ mod tests {
         let (records, end) = scan_records(&f, HEADER_LEN);
         assert!(records.is_empty());
         assert!(matches!(end, LogEnd::Corrupt { .. }));
+    }
+
+    #[test]
+    fn over_cap_payload_is_refused_and_nothing_is_written() {
+        let mut out = file_with(&[b"kept"]);
+        let before = out.clone();
+        let err = put_record(&mut out, &vec![0u8; MAX_RECORD_LEN + 1]).unwrap_err();
+        assert!(matches!(
+            err,
+            CdcError::RecordTooLarge { len, max }
+                if len == MAX_RECORD_LEN + 1 && max == MAX_RECORD_LEN
+        ));
+        assert_eq!(out, before);
     }
 }

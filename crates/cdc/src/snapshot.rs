@@ -29,15 +29,16 @@ pub const SNAPSHOT_MAGIC: &[u8; 4] = b"FVSN";
 pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// Serializes `engine` (which has applied the changelog through `seq`)
-/// into the snapshot wire form.
-pub fn encode_snapshot<R: PersistRing>(seq: u64, engine: &Engine<R>) -> Vec<u8> {
+/// into the snapshot wire form.  Fails with [`CdcError::RecordTooLarge`]
+/// when the state does not fit one record.
+pub fn encode_snapshot<R: PersistRing>(seq: u64, engine: &Engine<R>) -> CdcResult<Vec<u8>> {
     let mut payload = Vec::new();
     wire::put_u64(&mut payload, seq);
     engine.save_state(&mut payload);
     let mut out = Vec::with_capacity(payload.len() + framing::HEADER_LEN + framing::RECORD_OVERHEAD);
     framing::put_header(&mut out, SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-    framing::put_record(&mut out, &payload);
-    out
+    framing::put_record(&mut out, &payload)?;
+    Ok(out)
 }
 
 /// Writes a snapshot atomically: temp file, sync, rename.
@@ -47,7 +48,7 @@ pub fn write_snapshot<R: PersistRing>(
     engine: &Engine<R>,
 ) -> CdcResult<()> {
     let path = path.as_ref();
-    let bytes = encode_snapshot(seq, engine);
+    let bytes = encode_snapshot(seq, engine)?;
     let tmp = path.with_extension("tmp");
     let mut file = std::fs::File::create(&tmp)?;
     file.write_all(&bytes)?;
@@ -100,8 +101,8 @@ mod tests {
         // Hand-build a malformed snapshot: two records.
         let mut bytes = Vec::new();
         framing::put_header(&mut bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-        framing::put_record(&mut bytes, &[1, 2, 3]);
-        framing::put_record(&mut bytes, &[4]);
+        framing::put_record(&mut bytes, &[1, 2, 3]).unwrap();
+        framing::put_record(&mut bytes, &[4]).unwrap();
         let dir = std::env::temp_dir();
         let path = dir.join(format!("fivm_cdc_snap_two_{}", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();

@@ -12,9 +12,11 @@
 //! "stalled" pipeline without sleeping, and [`SyncFaults`] injects fsync
 //! failures at exact points.
 
+use fivm_cdc::framing::MAX_RECORD_LEN;
 use fivm_cdc::{
     BackpressurePolicy, CdcService, CommitGate, DurableEngine, ServiceConfig, SyncFaults,
 };
+use fivm_common::Value;
 use fivm_core::{apps, Engine};
 use fivm_data::retailer::{retailer_query_continuous, retailer_tree};
 use fivm_data::{RetailerConfig, StreamConfig};
@@ -224,6 +226,51 @@ fn failed_fsync_poisons_the_service_and_acks_stop() {
         "fsync-poison/recovered",
     );
     assert!(last <= batches.len() as u64);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A batch that encodes past the record cap must reach producers as its
+/// cause, not as a commit-thread panic (ROADMAP finding (f)): the service
+/// poisons with the size in the message, what was acknowledged before
+/// stays acknowledged, and recovery lands on exactly that prefix (the
+/// refused record never reached the file).
+#[test]
+fn over_cap_batch_poisons_with_the_size_error_and_keeps_the_acked_prefix() {
+    let (tree, db, batches) = workload();
+    let dir = tempdir("over_cap");
+    let mut engine = count_engine(&tree);
+    engine.load_database(&db).unwrap();
+    let service = CdcService::start(engine, &dir, ServiceConfig::default()).unwrap();
+
+    let healthy = 5;
+    for u in &batches[..healthy] {
+        service.submit(u.clone()).unwrap();
+    }
+    assert_eq!(service.flush().unwrap(), healthy as u64);
+
+    // One row whose single string value alone is over the cap.
+    let mut row = batches[0].rows[0].0.to_vec();
+    row[3] = Value::str("x".repeat(MAX_RECORD_LEN + 1));
+    let table = batches[0].table.clone();
+    service
+        .submit(Update::inserts(table, vec![row.into_boxed_slice()]))
+        .unwrap();
+    let err = service.flush().unwrap_err();
+    assert_eq!(err.kind(), "poisoned", "{err}");
+    let cap = format!("exceeds the {MAX_RECORD_LEN}-byte record cap");
+    assert!(err.to_string().contains(&cap), "{err}");
+    let err = service.submit(batches[healthy].clone()).unwrap_err();
+    assert_eq!(err.kind(), "poisoned", "{err}");
+
+    let done = service.shutdown();
+    let cause = done.error.expect("the size error is reported");
+    assert_eq!(cause.kind(), "record-too-large", "{cause}");
+    assert_eq!(done.durable_seq, healthy as u64);
+    assert_eq!(done.applied_seq, healthy as u64);
+
+    let last =
+        assert_recovery_matches_prefix(&tree, &db, &batches, &dir, done.durable_seq, "over-cap");
+    assert_eq!(last, healthy as u64, "the refused record left no bytes behind");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -68,7 +68,7 @@
 //! to one SWAR group with permanently-empty bytes), the millions of tiny
 //! relation-ring interiors this table backs shrink from one 8-slot
 //! allocation to a right-sized few: see [`RawTable::allocated_bytes`] and
-//! the `MEM-*` ablation records in `BENCH_ivm.json`.
+//! the bytes-per-entry gate in `crates/ring/tests/mem_gate.rs`.
 //!
 //! Like the rest of the workspace the table is keyed by trusted,
 //! internally generated hashes ([`crate::hash::FxHasher`]-style mixing);

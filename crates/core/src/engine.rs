@@ -35,9 +35,7 @@
 //! [`crate::apps`] merely pick a ring and a set of lifts.
 
 use crate::error::{EngineError, EngineResult};
-use crate::kernel::{
-    direct_level, finish_level, group_row, probe_level, KernelMode, PropagationScratch,
-};
+use crate::kernel::{direct_level, finish_level, group_row, probe_level, PropagationScratch};
 use crate::plan::{ExecutionPlan, ProbeKind};
 use crate::view::MaterializedView;
 use fivm_common::{wire, EncodedKey, FivmError, RelId, Result, WireReader};
@@ -313,13 +311,6 @@ impl<R: Ring> Engine<R> {
         stats
     }
 
-    /// Selects the kernel probe-free levels run ([`KernelMode::Auto`] by
-    /// default).  Forcing [`KernelMode::Scalar`] or [`KernelMode::Columnar`]
-    /// pins one path — the differential suites run both and compare.
-    pub fn set_kernel_mode(&mut self, mode: KernelMode) {
-        self.scratch.mode = mode;
-    }
-
     /// The materialized view of a view-tree node, as a relation (an output
     /// boundary: keys are decoded through the dictionary).
     pub fn view_relation(&self, node_id: usize) -> Relation<R> {
@@ -558,7 +549,7 @@ impl<R: Ring> Engine<R> {
             if let Some(direct) = &dp.direct {
                 // Probe-free level: the output key is a plain projection of
                 // the delta key — no assignment scatter, no probes.  The
-                // kernel picks the scalar or columnar path per `mode`.
+                // kernel picks the scalar or columnar path by input size.
                 direct_level(
                     direct,
                     lift,
@@ -567,13 +558,12 @@ impl<R: Ring> Engine<R> {
                     produced,
                     &mut self.scratch.columns,
                     &mut self.scratch.pool,
-                    self.scratch.mode,
                     &mut self.stats,
                 );
             } else {
                 // Probe level: the kernel scatters, probes the sibling
                 // views and accumulates — scalar per-row walk or columnar
-                // run fusion per `mode`.
+                // run fusion, by input size and step kinds.
                 probe_level(
                     &self.views,
                     &self.ctx,
@@ -587,7 +577,6 @@ impl<R: Ring> Engine<R> {
                     &mut self.scratch.partials,
                     &mut self.scratch.pool,
                     self.scratch.pool_enabled,
-                    self.scratch.mode,
                     &mut self.stats,
                 );
             }

@@ -244,25 +244,12 @@ pub struct PropagationScratch<R: Ring> {
     /// column buffers are reused across updates like every other scratch
     /// buffer here.
     pub columns: LevelColumns,
-    /// Which kernel the probe-free levels run (see [`KernelMode`]).
-    pub mode: KernelMode,
 }
 
-/// Kernel selection for probe-free (direct-emit) propagation levels.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum KernelMode {
-    /// Columnar for batches of at least [`COLUMNAR_MIN_ROWS`] rows, scalar
-    /// below (sorting a handful of rows costs more than it fuses).
-    #[default]
-    Auto,
-    /// Always the per-row scalar path (the differential baseline).
-    Scalar,
-    /// Always the columnar path, regardless of batch size.
-    Columnar,
-}
-
-/// Smallest direct-level delta the [`KernelMode::Auto`] heuristic routes to
-/// the columnar kernel.
+/// Smallest level input (grouped delta entries, not update rows) that
+/// [`direct_level`] and [`probe_level`] route to their columnar kernel;
+/// below it the scalar walk runs (sorting a handful of entries costs more
+/// than it fuses).
 pub const COLUMNAR_MIN_ROWS: usize = 8;
 
 /// Struct-of-arrays scratch for one probe-free propagation level: parallel
@@ -368,7 +355,6 @@ impl<R: Ring> PropagationScratch<R> {
             pool: Vec::new(),
             pool_enabled,
             columns: LevelColumns::default(),
-            mode: KernelMode::default(),
         }
     }
 
@@ -588,10 +574,11 @@ pub fn emit<R: Ring>(
 /// lookup, and the entries it accumulates — in first-arrival order — are
 /// what the driver hands to the view and the parent level.
 ///
-/// Two kernels, selected by `mode` (identical results; see the kernel
-/// contract in ROADMAP.md for the exactness fine print):
+/// Two kernels, selected by the input size (identical results; see the
+/// kernel contract in ROADMAP.md for the exactness fine print):
 ///
-/// * **Scalar** — the per-row loop: project, hash, [`emit`].
+/// * **Scalar** — the per-row loop: project, hash, [`emit`].  Runs below
+///   [`COLUMNAR_MIN_ROWS`] input entries.
 /// * **Columnar** — fills struct-of-arrays column slices (one pass), sorts
 ///   the flat `(hash, input index)` column so rows sharing an output key
 ///   form adjacent *runs* in arrival order (equal keys hash equal; the
@@ -618,17 +605,11 @@ pub fn direct_level<R: Ring>(
     out: &mut DeltaTable<R>,
     cols: &mut LevelColumns,
     pool: &mut Vec<R>,
-    mode: KernelMode,
     stats: &mut EngineStats,
 ) {
     // xlint:allow(no-panic): the expects guard run invariants established two lines above each site (`batchable` implies every `scalar_ws` is Some and `batch` is Some) — unreachable by construction, not error paths.
     let _tally = hash_tally::LevelScope::enter("direct_level");
-    let columnar = match mode {
-        KernelMode::Scalar => false,
-        KernelMode::Columnar => true,
-        KernelMode::Auto => input.len() >= COLUMNAR_MIN_ROWS,
-    };
-    if !columnar {
+    if input.len() < COLUMNAR_MIN_ROWS {
         for (hash, key, payload) in input {
             let (out_key, out_hash) = if direct.passthrough {
                 (key.clone(), *hash)
@@ -927,7 +908,7 @@ pub fn extend_assignment<R: Ring>(
 /// probe levels, shared by the engine and the DAG (mirroring
 /// [`direct_level`] for probe-free ones).
 ///
-/// Two kernels, selected by `mode`:
+/// Two kernels, selected by the input size and the plan's step kinds:
 ///
 /// * **Scalar** — the per-row walk: scatter, then recursive
 ///   [`extend_assignment`].
@@ -956,8 +937,8 @@ pub fn extend_assignment<R: Ring>(
 ///   integer-valued payloads, tolerance on raw floats).
 ///
 ///   A level with any secondary-index step, or fewer than
-///   [`COLUMNAR_MIN_ROWS`] rows under [`KernelMode::Auto`], takes the
-///   scalar walk unchanged.  Mixed-hash spans that are not key-uniform
+///   [`COLUMNAR_MIN_ROWS`] input entries, takes the scalar walk
+///   unchanged.  Mixed-hash spans that are not key-uniform
 ///   (64-bit collisions) fall back to per-row [`extend_assignment`].
 #[allow(clippy::too_many_arguments)]
 pub fn probe_level<R: Ring>(
@@ -973,7 +954,6 @@ pub fn probe_level<R: Ring>(
     partials: &mut [R],
     pool: &mut Vec<R>,
     pool_enabled: bool,
-    mode: KernelMode,
     stats: &mut EngineStats,
 ) {
     // xlint:allow(no-panic): the two expects guard the `batchable` run predicate established immediately above them (every `scalar_ws` Some, `batch` Some) — compile-time-style invariants, not error paths.
@@ -986,11 +966,8 @@ pub fn probe_level<R: Ring>(
     }
 
     let k = dp.steps.len();
-    let columnar = match mode {
-        KernelMode::Scalar => false,
-        KernelMode::Columnar => true,
-        KernelMode::Auto => input.len() >= COLUMNAR_MIN_ROWS,
-    } && k >= 1
+    let columnar = input.len() >= COLUMNAR_MIN_ROWS
+        && k >= 1
         && dp
             .steps
             .iter()

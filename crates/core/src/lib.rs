@@ -55,6 +55,5 @@ pub mod view;
 pub use apps::{AggregateLayout, BinSpec};
 pub use engine::{Engine, EngineStats, UpdateOutcome};
 pub use error::{EngineError, EngineResult};
-pub use kernel::KernelMode;
 pub use plan::ExecutionPlan;
 pub use view::MaterializedView;

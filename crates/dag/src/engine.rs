@@ -43,9 +43,7 @@
 use crate::error::{DagError, DagResult};
 use fivm_common::{EncodedKey, FivmError, VarId};
 use fivm_core::delta::DeltaEntry;
-use fivm_core::kernel::{
-    direct_level, finish_level, group_row, probe_level, KernelMode, PropagationScratch,
-};
+use fivm_core::kernel::{direct_level, finish_level, group_row, probe_level, PropagationScratch};
 use fivm_core::plan::{compile_delta_plan, ChildInfo, DeltaPlan, ExecutionPlan, ProbeKind};
 use fivm_core::{EngineStats, MaterializedView, UpdateOutcome};
 use fivm_query::fingerprint::{
@@ -229,13 +227,6 @@ impl<R: Ring> DagEngine<R> {
             .sum::<usize>();
         stats.scratch_bytes = self.scratch.allocated_bytes();
         stats
-    }
-
-    /// Selects the kernel probe-free levels run ([`KernelMode::Auto`] by
-    /// default); mirrors the single-tree engine's `set_kernel_mode` so the
-    /// differential suites can pin either path on both drivers.
-    pub fn set_kernel_mode(&mut self, mode: KernelMode) {
-        self.scratch.mode = mode;
     }
 
     fn query(&self, query: usize) -> DagResult<&QueryState> {
@@ -982,7 +973,7 @@ fn produce_level<R: Ring>(
     if let Some(direct) = &dp.direct {
         // Probe-free level: the output key is a plain projection of the
         // delta key — no assignment scatter, no probes.  The kernel picks
-        // the scalar or columnar path per the scratch's mode.
+        // the scalar or columnar path by input size.
         direct_level(
             direct,
             lift,
@@ -991,13 +982,12 @@ fn produce_level<R: Ring>(
             &mut scratch.next,
             &mut scratch.columns,
             &mut scratch.pool,
-            scratch.mode,
             stats,
         );
     } else {
         // Probe level: the kernel scatters, probes the sibling views and
-        // accumulates — scalar per-row walk or columnar run fusion per the
-        // scratch's mode.
+        // accumulates — scalar per-row walk or columnar run fusion, by
+        // input size and step kinds.
         probe_level(
             views,
             ctx,
@@ -1011,7 +1001,6 @@ fn produce_level<R: Ring>(
             &mut scratch.partials,
             &mut scratch.pool,
             scratch.pool_enabled,
-            scratch.mode,
             stats,
         );
     }

@@ -14,7 +14,6 @@
 use crate::engine::DagEngine;
 use crate::error::{DagError, DagResult};
 use fivm_core::apps::{count_lifts, covar_lifts, gen_covar_lifts, mi_lifts, relational_lifts};
-use fivm_core::kernel::KernelMode;
 use fivm_core::{BinSpec, EngineStats, UpdateOutcome};
 use fivm_query::ViewTree;
 use fivm_relation::{Database, Relation, Update};
@@ -311,15 +310,6 @@ impl QueryRegistry {
             .merge(&self.covar.stats())
             .merge(&self.gen.stats())
             .merge(&self.relational.stats())
-    }
-
-    /// Forces the propagation kernel (scalar per-row vs columnar batch) on
-    /// every ring group's DAG; see [`DagEngine::set_kernel_mode`].
-    pub fn set_kernel_mode(&mut self, mode: KernelMode) {
-        self.count.set_kernel_mode(mode);
-        self.covar.set_kernel_mode(mode);
-        self.gen.set_kernel_mode(mode);
-        self.relational.set_kernel_mode(mode);
     }
 
     /// The COUNT-group DAG (introspection for tests/benches).

@@ -6,13 +6,9 @@
 //! operation re-hashes dynamically typed values (enum-tag matching, string
 //! refcount traffic, one allocation per constructed key).
 //!
-//! It is kept — deliberately unoptimized — as
-//!
-//! * the **oracle** of the seeded encoded-vs-boxed differential suite
-//!   (`crates/ring/tests/relvalue_differential.rs`), and
-//! * the **boxed side** of the `RING-*` ablation records emitted by
-//!   `exp_throughput`, which isolate what the encoded ring interior buys on
-//!   identical workloads.
+//! It is kept — deliberately unoptimized — as the **oracle** of the seeded
+//! encoded-vs-boxed differential suite
+//! (`crates/ring/tests/relvalue_differential.rs`).
 //!
 //! It must stay semantically identical to [`crate::RelValue`]; it is not
 //! exported for production use.
@@ -74,23 +70,6 @@ impl BoxedRelValue {
         let mut k: Vec<(u32, Value)> = key.to_vec();
         k.sort_by_key(|(a, _)| *a);
         self.entries.get(k.as_slice()).copied().unwrap_or(0.0)
-    }
-
-    /// Approximate heap bytes of this relation: the hash-map bucket array
-    /// (per usable slot: the entry pair plus one control byte, the
-    /// hashbrown shape behind `std`) plus every boxed key's pair slice.
-    /// `std` does not expose exact allocation sizes, so this is an
-    /// *estimate* — the boxed side of the `MEM-*` ablation records, where
-    /// a few percent of error cannot affect the conclusion (the boxed
-    /// layout costs multiples of the encoded one).
-    pub fn approx_heap_bytes(&self) -> usize {
-        let slot = std::mem::size_of::<(BoxedCatKey, f64)>() + 1;
-        let key_bytes: usize = self
-            .entries
-            .keys()
-            .map(|k| k.len() * std::mem::size_of::<(u32, Value)>())
-            .sum();
-        self.entries.capacity() * slot + key_bytes
     }
 
     /// The entries as a sorted `(pairs, weight)` listing — the same

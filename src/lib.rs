@@ -23,10 +23,11 @@
 //! | [`cdc`] | `fivm-cdc` | durability: write-ahead changelog, engine snapshots, crash recovery by replay |
 //! | [`dag`] | `fivm-dag` | multi-query maintenance DAG: shared view-tree prefixes, one propagation pass, runtime register/unregister |
 //!
-//! Two crates are not re-exported: `fivm-bench` (experiment binaries and
-//! Criterion benchmarks; `exp_throughput` also emits the machine-readable
-//! `BENCH_ivm.json` perf baseline) and the offline dependency shims under
-//! `crates/shims/` (see `crates/shims/README.md`).
+//! Two crates are not re-exported: `fivm-bench` (the paper walkthrough
+//! binaries, `profile_hotpath` and the Criterion ablations against
+//! `fivm-baselines`) and the offline dependency shims under
+//! `crates/shims/` (see `crates/shims/README.md`).  Performance is
+//! measured by the standalone `benchmark/` package (`fivm-e2e`).
 //!
 //! ## Performance model
 //!
