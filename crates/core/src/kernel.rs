@@ -3,11 +3,11 @@
 //! Everything a maintenance pass needs at one view level — grouping input
 //! rows into a keyed delta, probing sibling views to extend assignments,
 //! applying lifts, accumulating contributions — lives here, decoupled from
-//! any particular owner of the views.  [`crate::engine::Engine`] drives the
-//! kernel along a single view tree's leaf-to-root path; `fivm_dag` drives
-//! the very same functions across a shared multi-query DAG where one
-//! produced delta fans out to several parents.  Keeping one implementation
-//! guarantees the two agree bit for bit, which is what the DAG's
+//! any particular owner of the views.  The one driver,
+//! [`crate::dag::DagEngine`], runs these functions across a shared
+//! multi-query DAG where one produced delta fans out to several parents;
+//! [`crate::engine::Engine`] is that driver hosting a single query, so a
+//! standalone engine and a DAG agree bit for bit, which is what the DAG's
 //! differential suite asserts.
 //!
 //! The kernel upholds the hash-once contract: every key is hashed exactly
@@ -211,16 +211,18 @@ impl Default for StepMemo {
 /// Reusable buffers for delta propagation, kept across updates so the hot
 /// path performs no per-update container allocation.
 pub struct PropagationScratch<R: Ring> {
-    /// The delta entering the current level, with the precomputed hash of
-    /// every key (swapped out of `next`, hashes and all).
-    pub current: Vec<DeltaEntry<R>>,
     /// The delta being produced for the next level, keyed by precomputed
     /// hashes.
     pub next: DeltaTable<R>,
     /// Drained delta buffers kept for their capacity (at most
-    /// `SPARE_CAP`).  Only the DAG driver uses them: it keeps one buffer
-    /// per in-flight fan-out edge rather than a single `current`.
+    /// `SPARE_CAP`); a finished level swaps its entries into one.
     pub spare: Vec<Vec<DeltaEntry<R>>>,
+    /// The deltas of the pass in flight, one per non-empty level, kept
+    /// until every parent has read them (empty between passes).
+    pub arena: Vec<Vec<DeltaEntry<R>>>,
+    /// The pass's fan-out queue: `(node, child position, arena index of
+    /// the child's delta)` (empty between passes).
+    pub queue: Vec<(usize, usize, usize)>,
     /// Per-probe-depth partial products (`acc * sibling payload`); their
     /// inner allocations (vectors, matrices, maps) are reused by
     /// [`Ring::mul_into`].
@@ -335,32 +337,35 @@ pub const POOL_CAP: usize = 4096;
 const SPARE_CAP: usize = 32;
 
 /// Byte budget for the delta buffers a scratch keeps between propagations
-/// (`current`, `next`, `columns`, `spare`).  [`PropagationScratch::trim`]
+/// (`next`, `columns`, `spare`).  [`PropagationScratch::trim`]
 /// frees them all when their combined allocation exceeds it, so one bulk
 /// load cannot leave load-sized buffers resident.  Sized so that steady
 /// streams never reallocate: 1000-row Retailer COVAR batches hold 0.5 MB
 /// through one view tree and 2 MB through the eight-query DAG.
 pub const SCRATCH_KEEP_BYTES: usize = 8 << 20;
 
-impl<R: Ring> PropagationScratch<R> {
-    /// Scratch sized for a plan's deepest probe chain and widest node.
-    pub fn new(max_probe_depth: usize, max_local_vars: usize, pool_enabled: bool) -> Self {
+/// Empty scratch, sized by [`PropagationScratch::grow`].
+impl<R: Ring> Default for PropagationScratch<R> {
+    fn default() -> Self {
         PropagationScratch {
-            current: Vec::new(),
             next: DeltaTable::new(),
             spare: Vec::new(),
-            partials: (0..max_probe_depth).map(|_| R::zero()).collect(),
-            memo: (0..max_probe_depth).map(|_| StepMemo::new()).collect(),
-            assignment: vec![EncodedValue::NULL; max_local_vars],
+            arena: Vec::new(),
+            queue: Vec::new(),
+            partials: Vec::new(),
+            memo: Vec::new(),
+            assignment: Vec::new(),
             pool: Vec::new(),
-            pool_enabled,
+            pool_enabled: false,
             columns: LevelColumns::default(),
         }
     }
+}
 
-    /// Grows the per-depth and per-node buffers in place (registering a new
-    /// query into a shared DAG can deepen the probe chains or widen the
-    /// nodes after construction).  Never shrinks.
+impl<R: Ring> PropagationScratch<R> {
+    /// Grows the per-depth and per-node buffers in place to a plan's
+    /// deepest probe chain and widest node (every registered query can
+    /// deepen or widen them).  Never shrinks.
     pub fn grow(&mut self, max_probe_depth: usize, max_local_vars: usize, pool_enabled: bool) {
         while self.partials.len() < max_probe_depth {
             self.partials.push(R::zero());
@@ -372,30 +377,28 @@ impl<R: Ring> PropagationScratch<R> {
         self.pool_enabled |= pool_enabled;
     }
 
-    /// Recycles the current level's delta payloads into the pool (they
-    /// were applied to the view by reference): each is reset to an exact
-    /// zero keeping its in-budget buffers, up to [`POOL_CAP`] payloads.
-    pub fn recycle_current(&mut self) {
-        for (_, _, payload) in self.current.drain(..) {
-            if self.pool_enabled && self.pool.len() < POOL_CAP {
-                let mut payload = payload;
+    /// Empties a consumed delta buffer, keeping its capacity (its payloads
+    /// were applied to the view by reference): each payload is reset to an
+    /// exact zero keeping its in-budget buffers and pooled, up to
+    /// [`POOL_CAP`] payloads, when the pool is enabled.
+    pub fn clear_buffer(&mut self, buffer: &mut Vec<DeltaEntry<R>>) {
+        if !self.pool_enabled {
+            buffer.clear();
+            return;
+        }
+        for (_, _, mut payload) in buffer.drain(..) {
+            if self.pool.len() < POOL_CAP {
                 payload.reset_zero();
                 self.pool.push(payload);
             }
         }
     }
 
-    /// Recycles a consumed delta buffer: its payloads go to the pool under
-    /// the same discipline as [`PropagationScratch::recycle_current`], the
-    /// emptied vector to `spare` for its capacity.
+    /// Recycles a consumed delta buffer: emptied as by
+    /// [`PropagationScratch::clear_buffer`], then kept in `spare` for its
+    /// capacity.
     pub fn recycle_buffer(&mut self, mut buffer: Vec<DeltaEntry<R>>) {
-        for (_, _, payload) in buffer.drain(..) {
-            if self.pool_enabled && self.pool.len() < POOL_CAP {
-                let mut payload = payload;
-                payload.reset_zero();
-                self.pool.push(payload);
-            }
-        }
+        self.clear_buffer(&mut buffer);
         if self.spare.len() < SPARE_CAP {
             self.spare.push(buffer);
         }
@@ -405,20 +408,23 @@ impl<R: Ring> PropagationScratch<R> {
     /// governs.
     fn buffer_bytes(&self) -> usize {
         let entry = std::mem::size_of::<DeltaEntry<R>>();
-        self.current.capacity() * entry
-            + self.next.allocated_bytes()
+        self.next.allocated_bytes()
             + self.columns.allocated_bytes()
             + self.spare.iter().map(|b| b.capacity() * entry).sum::<usize>()
     }
 
     /// Heap bytes the scratch holds between propagations: the delta
     /// buffers (at most [`SCRATCH_KEEP_BYTES`] after a
-    /// [`PropagationScratch::trim`]) plus the payload pool's vector (at
+    /// [`PropagationScratch::trim`]), the pass bookkeeping (arena and
+    /// queue vectors, O(DAG nodes)) and the payload pool's vector (at
     /// most [`POOL_CAP`] payloads; their interiors are bounded by the
     /// ring's `reset_zero` budget and not visited here).  O(1):
     /// capacities × element size, no scan.
     pub fn allocated_bytes(&self) -> usize {
-        self.buffer_bytes() + self.pool.capacity() * std::mem::size_of::<R>()
+        self.buffer_bytes()
+            + self.arena.capacity() * std::mem::size_of::<Vec<DeltaEntry<R>>>()
+            + self.queue.capacity() * std::mem::size_of::<(usize, usize, usize)>()
+            + self.pool.capacity() * std::mem::size_of::<R>()
     }
 
     /// Called at the end of every propagation, with all delta buffers
@@ -427,8 +433,7 @@ impl<R: Ring> PropagationScratch<R> {
     /// bounded by the budget, not by the batch.
     pub fn trim(&mut self) {
         if self.buffer_bytes() > SCRATCH_KEEP_BYTES {
-            debug_assert!(self.current.is_empty(), "trim() with a delta in flight");
-            self.current = Vec::new();
+            debug_assert!(self.arena.is_empty(), "trim() with a delta in flight");
             self.next.release();
             self.columns = LevelColumns::default();
             self.spare = Vec::new();
@@ -436,24 +441,11 @@ impl<R: Ring> PropagationScratch<R> {
     }
 }
 
-/// Ends the level accumulated in `produced`: keys whose payloads cancelled
-/// to zero are dropped and the rest move — by buffer swap, hashes and
-/// first-arrival order intact — into `out`, which must be empty.  A free
-/// function over the two buffers so drivers can pass disjoint fields of
-/// one [`PropagationScratch`].
-pub fn finish_level<R: Ring>(produced: &mut DeltaTable<R>, out: &mut Vec<DeltaEntry<R>>) {
-    produced.finish_into(out, |payload| !payload.is_zero());
-}
-
 /// Merges one input row into the grouped leaf delta: encodes the row
 /// through the table binding (or validates its arity) directly into an
 /// [`EncodedKey`], hashes the key **once**, then accumulates `1 · mult`
-/// under that key.
-///
-/// Shared by the single-tree engine's update paths and the DAG's leaf
-/// ingestion so the validation and grouping semantics cannot diverge.  On
-/// error the grouped delta is cleared so the scratch stays drained for the
-/// next batch.
+/// under that key.  On error the grouped delta is cleared so the scratch
+/// stays drained for the next batch.
 #[allow(clippy::too_many_arguments)]
 pub fn group_row<R: Ring>(
     delta: &mut DeltaTable<R>,
@@ -905,8 +897,7 @@ pub fn extend_assignment<R: Ring>(
 /// Runs one probe level end to end: scatters each delta row into the
 /// assignment, joins against the sibling views, applies the lift,
 /// marginalizes and accumulates into `out`.  The single entry point for
-/// probe levels, shared by the engine and the DAG (mirroring
-/// [`direct_level`] for probe-free ones).
+/// probe levels (mirroring [`direct_level`] for probe-free ones).
 ///
 /// Two kernels, selected by the input size and the plan's step kinds:
 ///

@@ -31,20 +31,25 @@
 //!
 //! Modules:
 //!
-//! * [`engine`] — the generic, ring-agnostic maintenance engine.
-//! * [`plan`] — compilation of view trees into static probe/index plans.
+//! * [`dag`] — the one propagation driver: a shared maintenance DAG of any
+//!   number of registered queries (node pool, `register` / `unregister`
+//!   with backfill, the leaf-to-root pass, stats, per-query snapshots).
+//! * [`engine`] — [`Engine`], the single-query handle on that driver, and
+//!   the work counters.
+//! * [`plan`] — compilation of view-tree nodes into static probe/index
+//!   plans.
 //! * [`view`] — materialized views with planned secondary indexes.
 //! * [`delta`] — the level-local delta accumulator the kernel upserts into
 //!   (dense entries in arrival order, O(delta) teardown, hand-off by swap).
-//! * [`kernel`] — the shared delta-propagation kernel (grouping, probing,
-//!   lift application), driven by both the single-tree engine and the
-//!   multi-query DAG (`fivm_dag`).
+//! * [`kernel`] — the delta-propagation kernel (grouping, probing, lift
+//!   application) the driver runs at every level.
 //! * [`apps`] — preconfigured engines for the paper's applications (count,
 //!   COVAR, mixed COVAR, mutual information, factorized evaluation).
 //! * [`error`] — typed [`EngineError`] for the public maintenance and
 //!   snapshot surface.
 
 pub mod apps;
+pub mod dag;
 pub mod delta;
 pub mod engine;
 pub mod error;
@@ -53,7 +58,7 @@ pub mod plan;
 pub mod view;
 
 pub use apps::{AggregateLayout, BinSpec};
+pub use dag::DagEngine;
 pub use engine::{Engine, EngineStats, UpdateOutcome};
 pub use error::{EngineError, EngineResult};
-pub use plan::ExecutionPlan;
 pub use view::MaterializedView;

@@ -1,19 +1,21 @@
-//! Compilation of a [`ViewTree`] into an executable maintenance plan.
+//! Compilation of view-tree nodes into delta plans.
 //!
-//! The plan fixes, ahead of time, everything the engine does per update:
+//! A node's [`DeltaPlan`]s fix, ahead of time, everything the driver does
+//! per update at that node:
 //!
 //! * the layout of the *assignment* (the variables bound while joining at a
 //!   node, `local_vars = key(X) ∪ {X}`),
-//! * for every (node, updating child) pair, the sequence of sibling probes
-//!   (with the secondary index each probe uses) that extends a delta tuple of
-//!   the child to full assignments of the node,
-//! * which secondary indexes every materialized view must maintain.
+//! * for every updating child, the sequence of sibling probes (with the
+//!   secondary index each probe uses) that extends a delta tuple of the
+//!   child to full assignments of the node,
+//! * which secondary indexes the sibling views must offer (registered at
+//!   compile time, built lazily on first probe).
 //!
 //! Planning probes statically keeps the hot maintenance path free of any
-//! decision making and guarantees the engine never builds an index lazily.
+//! decision making.
 
-use fivm_common::{FivmError, RelId, Result, VarId};
-use fivm_query::{ChildRef, ViewTree};
+use fivm_common::{FivmError, Result, VarId};
+use fivm_query::{ChildRef, ViewNode, ViewTree};
 
 /// A marker for "this sibling column is already bound by the assignment".
 pub const ALREADY_BOUND: usize = usize::MAX;
@@ -85,36 +87,23 @@ pub struct ChildInfo {
     pub cover: Vec<VarId>,
 }
 
-/// The compiled plan of one view-tree node.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NodePlan {
-    /// The node id (also the index of the node's view in the view array).
-    pub node_id: usize,
-    /// The variable marginalized at this node.
-    pub var: VarId,
-    /// The node's group-by variables.
-    pub key_vars: Vec<VarId>,
-    /// `key_vars ∪ {var}`, the assignment layout.
-    pub local_vars: Vec<VarId>,
-    /// The node's children.
-    pub children: Vec<ChildInfo>,
-    /// One delta plan per child position.
-    pub delta_plans: Vec<DeltaPlan>,
-    /// `(parent node id, this node's position among the parent's children)`.
-    pub parent: Option<(usize, usize)>,
-}
-
-/// The compiled plan of one base-relation leaf.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LeafPlan {
-    /// The relation id.
-    pub rel: RelId,
-    /// Index of the leaf's view in the engine's view array.
-    pub view_idx: usize,
-    /// The relation's variables (the leaf view's key).
-    pub vars: Vec<VarId>,
-    /// `(attachment node id, position among that node's children)`.
-    pub parent: (usize, usize),
+/// The children of a view-tree node as [`ChildInfo`]s, numbering views
+/// with `view_of` (the driver passes DAG node ids).
+pub fn child_infos(
+    tree: &ViewTree,
+    node: &ViewNode,
+    view_of: impl Fn(&ChildRef) -> usize,
+) -> Vec<ChildInfo> {
+    node.children
+        .iter()
+        .map(|c| ChildInfo {
+            view_idx: view_of(c),
+            cover: match c {
+                ChildRef::View(v) => tree.node(*v).key_vars.clone(),
+                ChildRef::Relation(r) => tree.spec().relation(*r).vars.clone(),
+            },
+        })
+        .collect()
 }
 
 /// Compiles the delta plan for one `(node, updating child)` pair: the
@@ -123,21 +112,18 @@ pub struct LeafPlan {
 ///
 /// `register_index(sibling_view, probe_cols)` is called whenever a probe
 /// needs a secondary index on the sibling and must return the per-view
-/// index id.  [`ExecutionPlan::compile`] collects requirements into the
-/// plan's `index_requirements`; the multi-query DAG (`fivm_dag`) registers
-/// them directly on its already-constructed shared views — both produce
-/// `ProbeKind::Index` ids that line up with
+/// index id; the driver ([`crate::dag::DagEngine`]) registers them
+/// directly on its shared views, so `ProbeKind::Index` ids line up with
 /// `MaterializedView::ensure_index` order.
 pub fn compile_delta_plan(
-    node_id: usize,
-    var: VarId,
-    key_vars: &[VarId],
-    local_vars: &[VarId],
+    node: &ViewNode,
     children: &[ChildInfo],
     updating_idx: usize,
     register_index: &mut dyn FnMut(usize, Vec<usize>) -> usize,
 ) -> Result<DeltaPlan> {
     // xlint:allow(no-panic): the expects below state plan-compiler invariants over an already-validated view tree (`remaining` non-empty while steps are being chosen; no-step plans cover every local var) — a failure is a compiler bug, and callers hold no partial plan to recover.
+    let (node_id, var, key_vars, local_vars) =
+        (node.id, node.var, &node.key_vars, &node.local_vars);
     let pos_of = |v: VarId| -> Result<usize> {
         local_vars.iter().position(|&x| x == v).ok_or_else(|| {
             FivmError::InvalidVariableOrder(format!(
@@ -275,213 +261,98 @@ pub fn compile_delta_plan(
     })
 }
 
-/// The complete executable plan.
-#[derive(Clone, Debug)]
-pub struct ExecutionPlan {
-    tree: ViewTree,
-    node_plans: Vec<NodePlan>,
-    leaf_plans: Vec<LeafPlan>,
-    /// Secondary indexes required per view (view idx → list of key-position
-    /// lists).  Engine construction registers them in this exact order, so
-    /// [`ProbeKind::Index`] ids line up with `MaterializedView::ensure_index`.
-    index_requirements: Vec<Vec<Vec<usize>>>,
-}
-
-impl ExecutionPlan {
-    /// Compiles a view tree into an execution plan.
-    pub fn compile(tree: ViewTree) -> Result<Self> {
-        // xlint:allow(no-panic): the expects below assert parent/child back-links of a validated ViewTree (a parent lists each child; an attachment node lists its relation) — structural invariants the tree constructor guarantees, not runtime error paths.
-        let num_nodes = tree.len();
-        let num_rels = tree.spec().num_relations();
-        let num_views = num_nodes + num_rels;
-        let mut index_requirements: Vec<Vec<Vec<usize>>> = vec![Vec::new(); num_views];
-
-        // Child covers and view indices.
-        let child_info = |child: &ChildRef| -> ChildInfo {
-            match child {
-                ChildRef::View(c) => ChildInfo {
-                    view_idx: *c,
-                    cover: tree.node(*c).key_vars.clone(),
-                },
-                ChildRef::Relation(r) => ChildInfo {
-                    view_idx: num_nodes + r,
-                    cover: tree.spec().relation(*r).vars.clone(),
-                },
-            }
-        };
-
-        let mut node_plans = Vec::with_capacity(num_nodes);
-        for node in tree.nodes() {
-            let children: Vec<ChildInfo> = node.children.iter().map(child_info).collect();
-            let local_vars = node.local_vars.clone();
-
-            let mut delta_plans = Vec::with_capacity(children.len());
-            for j in 0..children.len() {
-                delta_plans.push(compile_delta_plan(
-                    node.id,
-                    node.var,
-                    &node.key_vars,
-                    &local_vars,
-                    &children,
-                    j,
-                    &mut |sibling_view, probe_cols| {
-                        let reqs = &mut index_requirements[sibling_view];
-                        match reqs.iter().position(|r| *r == probe_cols) {
-                            Some(id) => id,
-                            None => {
-                                reqs.push(probe_cols);
-                                reqs.len() - 1
-                            }
-                        }
-                    },
-                )?);
-            }
-
-            let parent = node.parent.map(|p| {
-                let pos = tree
-                    .node(p)
-                    .children
-                    .iter()
-                    .position(|c| *c == ChildRef::View(node.id))
-                    .expect("parent lists this node as a child");
-                (p, pos)
-            });
-
-            node_plans.push(NodePlan {
-                node_id: node.id,
-                var: node.var,
-                key_vars: node.key_vars.clone(),
-                local_vars,
-                children,
-                delta_plans,
-                parent,
-            });
-        }
-
-        let leaf_plans = (0..num_rels)
-            .map(|r| {
-                let attach = tree.attach_node(r);
-                let pos = tree
-                    .node(attach)
-                    .children
-                    .iter()
-                    .position(|c| *c == ChildRef::Relation(r))
-                    .expect("attachment node lists the relation as a child");
-                LeafPlan {
-                    rel: r,
-                    view_idx: num_nodes + r,
-                    vars: tree.spec().relation(r).vars.clone(),
-                    parent: (attach, pos),
-                }
-            })
-            .collect();
-
-        Ok(ExecutionPlan {
-            tree,
-            node_plans,
-            leaf_plans,
-            index_requirements,
-        })
-    }
-
-    /// The view tree this plan was compiled from.
-    pub fn tree(&self) -> &ViewTree {
-        &self.tree
-    }
-
-    /// Per-node plans, indexed by node id.
-    pub fn node_plans(&self) -> &[NodePlan] {
-        &self.node_plans
-    }
-
-    /// Per-relation leaf plans, indexed by relation id.
-    pub fn leaf_plans(&self) -> &[LeafPlan] {
-        &self.leaf_plans
-    }
-
-    /// Secondary-index requirements per view.
-    pub fn index_requirements(&self) -> &[Vec<Vec<usize>>] {
-        &self.index_requirements
-    }
-
-    /// Total number of materialized views (variable views + relation leaves).
-    pub fn num_views(&self) -> usize {
-        self.node_plans.len() + self.leaf_plans.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fivm_query::spec::figure1_query;
-    use fivm_query::ViewTree;
+    use crate::dag::DagEngine;
+    use fivm_data::figure1::figure1_tree;
 
-    fn figure1_plan() -> ExecutionPlan {
-        let spec = figure1_query(false);
-        let a = spec.var_id("A").unwrap();
-        let c = spec.var_id("C").unwrap();
-        let mut parents = vec![None; 4];
-        parents[spec.var_id("B").unwrap()] = Some(a);
-        parents[c] = Some(a);
-        parents[spec.var_id("D").unwrap()] = Some(c);
-        let tree = ViewTree::from_parent_vars(spec, &parents).unwrap();
-        ExecutionPlan::compile(tree).unwrap()
+    /// The node's children, numbering views in tree order (node `i` is view
+    /// `i`, relation `r` is view `tree.len() + r`).
+    fn children(tree: &ViewTree, node: usize) -> Vec<ChildInfo> {
+        child_infos(tree, tree.node(node), |c| match c {
+            ChildRef::View(v) => *v,
+            ChildRef::Relation(r) => tree.len() + r,
+        })
+    }
+
+    /// Every delta plan of a node.  Every Figure 1 probe covers the
+    /// sibling's whole key, so no secondary index may be requested.
+    fn delta_plans(tree: &ViewTree, node: usize) -> Vec<DeltaPlan> {
+        let kids = children(tree, node);
+        (0..kids.len())
+            .map(|j| {
+                compile_delta_plan(tree.node(node), &kids, j, &mut |_, _| {
+                    panic!("Figure 1 needs no secondary index")
+                })
+                .unwrap()
+            })
+            .collect()
+    }
+
+    fn node_of(tree: &ViewTree, var: &str) -> usize {
+        tree.vorder().node_of(tree.spec().var_id(var).unwrap())
     }
 
     #[test]
     fn plan_has_views_for_variables_and_leaves() {
-        let plan = figure1_plan();
-        assert_eq!(plan.node_plans().len(), 4);
-        assert_eq!(plan.leaf_plans().len(), 2);
-        assert_eq!(plan.num_views(), 6);
-        assert_eq!(plan.index_requirements().len(), 6);
+        let tree = figure1_tree(false);
+        let lifts = crate::apps::count_lifts(tree.spec());
+        let mut dag: DagEngine<i64> = DagEngine::new();
+        let q = dag.register(tree.clone(), lifts, None).unwrap();
+        // One view per variable (4) and one per relation leaf (2).
+        assert_eq!(dag.live_nodes(), 6);
+        assert_eq!(dag.query_nodes(q).unwrap().len(), 6);
+        for node in 0..tree.len() {
+            delta_plans(&tree, node);
+        }
     }
 
     #[test]
     fn root_delta_plans_probe_the_sibling_view() {
-        let plan = figure1_plan();
-        let spec = plan.tree().spec().clone();
-        let a_node = plan.tree().vorder().node_of(spec.var_id("A").unwrap());
-        let np = &plan.node_plans()[a_node];
-        assert_eq!(np.children.len(), 2);
+        let tree = figure1_tree(false);
+        let a_node = node_of(&tree, "A");
+        let plans = delta_plans(&tree, a_node);
+        assert_eq!(plans.len(), 2);
         // When either child changes, the other is probed on its full key (A).
-        for dp in &np.delta_plans {
+        for (j, dp) in plans.iter().enumerate() {
             assert_eq!(dp.steps.len(), 1);
             assert_eq!(dp.steps[0].probe, ProbeKind::Primary);
+            assert_eq!(
+                dp.steps[0].sibling_view,
+                children(&tree, a_node)[1 - j].view_idx
+            );
         }
-        assert!(np.key_vars.is_empty());
-        assert_eq!(np.parent, None);
+        assert!(tree.node(a_node).key_vars.is_empty());
+        assert_eq!(tree.node(a_node).parent, None);
     }
 
     #[test]
     fn single_child_nodes_have_no_probe_steps() {
-        let plan = figure1_plan();
-        let spec = plan.tree().spec().clone();
-        let b_node = plan.tree().vorder().node_of(spec.var_id("B").unwrap());
-        let np = &plan.node_plans()[b_node];
-        assert_eq!(np.children.len(), 1);
-        assert_eq!(np.delta_plans[0].steps.len(), 0);
+        let tree = figure1_tree(false);
+        let b_node = node_of(&tree, "B");
+        let plans = delta_plans(&tree, b_node);
+        assert_eq!(plans.len(), 1);
+        assert_eq!(plans[0].steps.len(), 0);
+        assert!(plans[0].direct.is_some());
         // The delta plan projects (A, B) down to (A).
-        assert_eq!(np.delta_plans[0].key_positions.len(), 1);
+        assert_eq!(plans[0].key_positions.len(), 1);
         // B's parent is the root.
-        let a_node = plan.tree().vorder().node_of(spec.var_id("A").unwrap());
-        assert_eq!(np.parent.unwrap().0, a_node);
+        assert_eq!(tree.node(b_node).parent, Some(node_of(&tree, "A")));
     }
 
     #[test]
     fn leaf_plans_point_to_attachment_nodes() {
-        let plan = figure1_plan();
-        let spec = plan.tree().spec().clone();
-        let lp_r = &plan.leaf_plans()[0];
-        assert_eq!(lp_r.vars, spec.relation(0).vars);
-        assert_eq!(
-            plan.node_plans()[lp_r.parent.0].var,
-            spec.var_id("B").unwrap()
-        );
-        let lp_s = &plan.leaf_plans()[1];
-        assert_eq!(
-            plan.node_plans()[lp_s.parent.0].var,
-            spec.var_id("D").unwrap()
-        );
+        let tree = figure1_tree(false);
+        let spec = tree.spec().clone();
+        for (r, var) in [(0, "B"), (1, "D")] {
+            let attach = tree.attach_node(r);
+            assert_eq!(tree.node(attach).var, spec.var_id(var).unwrap());
+            let leaf = children(&tree, attach)
+                .into_iter()
+                .find(|c| c.view_idx == tree.len() + r)
+                .expect("the attachment node lists the relation leaf");
+            assert_eq!(leaf.cover, spec.relation(r).vars);
+        }
     }
 }

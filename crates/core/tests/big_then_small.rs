@@ -27,7 +27,7 @@ use big_batch::{workload, BIG};
 
 fn assert_same_views<R: Ring>(a: &Engine<R>, b: &Engine<R>, ctx: &str) {
     assert!(a.result() == b.result(), "{ctx}: results differ");
-    for view in 0..a.plan().num_views() {
+    for view in 0..a.tree().len() + a.tree().spec().num_relations() {
         assert!(
             a.view_relation(view) == b.view_relation(view),
             "{ctx}: view {view} differs between the big-batch and the small-batch engine"

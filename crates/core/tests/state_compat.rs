@@ -11,23 +11,11 @@
 
 use fivm_common::Value;
 use fivm_core::apps;
-use fivm_query::spec::figure1_query;
-use fivm_query::ViewTree;
+use fivm_data::figure1::figure1_tree;
 use fivm_relation::tuple;
 use fivm_ring::{GenCofactor, Ring};
 
 const FIXTURE: &[u8] = include_bytes!("fixtures/figure1_gen_covar_state_v1.bin");
-
-fn figure1_tree() -> ViewTree {
-    let spec = figure1_query(true);
-    let a = spec.var_id("A").unwrap();
-    let c = spec.var_id("C").unwrap();
-    let mut parents = vec![None; 4];
-    parents[spec.var_id("B").unwrap()] = Some(a);
-    parents[c] = Some(a);
-    parents[spec.var_id("D").unwrap()] = Some(c);
-    ViewTree::from_parent_vars(spec, &parents).unwrap()
-}
 
 fn r_rows() -> Vec<(fivm_relation::Tuple, i64)> {
     vec![
@@ -60,7 +48,7 @@ fn a_snapshot_from_before_the_inline_singleton_loads_and_keeps_working() {
     // The format version did not move.
     assert_eq!(FIXTURE[..4], 1u32.to_le_bytes(), "STATE_VERSION changed");
 
-    let mut live = apps::gen_covar_engine(figure1_tree()).unwrap();
+    let mut live = apps::gen_covar_engine(figure1_tree(true)).unwrap();
     live.apply_rows(0, r_rows()).unwrap();
     live.apply_rows(1, s_rows()).unwrap();
     // Today's build writes the same header and the same number of bytes
@@ -70,7 +58,7 @@ fn a_snapshot_from_before_the_inline_singleton_loads_and_keeps_working() {
     assert_eq!(now[..4], FIXTURE[..4]);
     assert_eq!(now.len(), FIXTURE.len(), "the wire form changed size");
 
-    let mut restored = apps::gen_covar_engine(figure1_tree()).unwrap();
+    let mut restored = apps::gen_covar_engine(figure1_tree(true)).unwrap();
     restored
         .load_state(FIXTURE)
         .expect("pre-change snapshot must load");
@@ -85,6 +73,11 @@ fn a_snapshot_from_before_the_inline_singleton_loads_and_keeps_working() {
     // Restored tables and payloads are right-sized: never above the
     // footprint of the engine that grew into the same state.
     assert!(stats.table_bytes <= live.stats().table_bytes);
+    // Saving the restored engine writes the fixture back byte for byte:
+    // views in the query's tree order, entries in their stored order.
+    let mut again = Vec::new();
+    restored.save_state(&mut again);
+    assert!(again == FIXTURE, "re-saved bytes differ from the fixture");
 
     // Both engines keep maintaining: a new category, then deletes down to
     // an exact zero.

@@ -12,22 +12,10 @@ use fivm_common::{AttrKind, Value};
 use fivm_core::apps;
 use fivm_core::delta::DeltaEntry;
 use fivm_core::kernel::SCRATCH_KEEP_BYTES;
-use fivm_query::spec::figure1_query;
-use fivm_query::ViewTree;
+use fivm_core::plan::{child_infos, compile_delta_plan};
+use fivm_data::figure1::figure1_tree;
+use fivm_query::{ChildRef, ViewTree};
 use fivm_relation::{tuple, BaseTable, Database, Schema, Tuple};
-
-/// The paper's Figure-1 tree: A root over B and C, D under C;
-/// R(A, B) attaches below B, S(A, C, D) below D.
-fn figure1_tree() -> ViewTree {
-    let spec = figure1_query(false);
-    let a = spec.var_id("A").unwrap();
-    let c = spec.var_id("C").unwrap();
-    let mut parents = vec![None; 4];
-    parents[spec.var_id("B").unwrap()] = Some(a);
-    parents[c] = Some(a);
-    parents[spec.var_id("D").unwrap()] = Some(c);
-    ViewTree::from_parent_vars(spec, &parents).unwrap()
-}
 
 fn t(vals: &[i64]) -> Tuple {
     tuple(vals.iter().map(|&v| Value::int(v)))
@@ -35,7 +23,7 @@ fn t(vals: &[i64]) -> Tuple {
 
 #[test]
 fn probe_counts_are_exact_per_propagation_level() {
-    let mut engine = apps::count_engine(figure1_tree()).unwrap();
+    let mut engine = apps::count_engine(figure1_tree(false)).unwrap();
     assert_eq!(engine.stats().probes, 0);
     assert_eq!(engine.stats().probe_hits, 0);
 
@@ -65,7 +53,7 @@ fn probe_counts_are_exact_per_propagation_level() {
 
 #[test]
 fn grouped_batches_probe_once_per_distinct_key() {
-    let mut engine = apps::count_engine(figure1_tree()).unwrap();
+    let mut engine = apps::count_engine(figure1_tree(false)).unwrap();
     engine.apply_rows(1, vec![(t(&[1, 3, 4]), 1)]).unwrap();
     let before = engine.stats();
 
@@ -90,7 +78,7 @@ fn grouped_batches_probe_once_per_distinct_key() {
 
 #[test]
 fn rehashes_count_table_growth_and_stay_flat_at_steady_state() {
-    let mut engine = apps::count_engine(figure1_tree()).unwrap();
+    let mut engine = apps::count_engine(figure1_tree(false)).unwrap();
     assert_eq!(engine.stats().rehashes, 0);
 
     // Loading plenty of distinct keys forces the view tables to grow.
@@ -132,12 +120,25 @@ fn deferred_index_builds_fire_once_per_probed_index() {
     let vo = fivm_query::VariableOrder::heuristic(&spec, fivm_query::EliminationHeuristic::MinDegree)
         .unwrap();
     let tree = ViewTree::new(spec, vo).unwrap();
-    let planned_indexes: usize = fivm_core::ExecutionPlan::compile(tree.clone())
-        .unwrap()
-        .index_requirements()
-        .iter()
-        .map(Vec::len)
-        .sum();
+    // The distinct (view, columns) secondary indexes the delta plans of
+    // every node request, views numbered in tree order.
+    let mut planned: Vec<(usize, Vec<usize>)> = Vec::new();
+    for node in tree.nodes() {
+        let children = child_infos(&tree, node, |c| match c {
+            ChildRef::View(v) => *v,
+            ChildRef::Relation(r) => tree.len() + r,
+        });
+        for j in 0..children.len() {
+            compile_delta_plan(node, &children, j, &mut |view, cols| {
+                if !planned.contains(&(view, cols.clone())) {
+                    planned.push((view, cols));
+                }
+                0
+            })
+            .unwrap();
+        }
+    }
+    let planned_indexes = planned.len();
     assert!(planned_indexes > 0, "the star query must plan index probes");
 
     let mut engine = apps::count_engine(tree).unwrap();
@@ -181,9 +182,9 @@ fn stats_merge_sums_every_counter() {
     // Two engines fed disjoint slices of the same workload: merged
     // counters must equal the counters of one engine fed everything —
     // `merge` is how a sharded deployment aggregates its shards.
-    let mut whole = apps::count_engine(figure1_tree()).unwrap();
-    let mut left = apps::count_engine(figure1_tree()).unwrap();
-    let mut right = apps::count_engine(figure1_tree()).unwrap();
+    let mut whole = apps::count_engine(figure1_tree(false)).unwrap();
+    let mut left = apps::count_engine(figure1_tree(false)).unwrap();
+    let mut right = apps::count_engine(figure1_tree(false)).unwrap();
 
     let rows: Vec<(Tuple, i64)> = (0..40).map(|i| (t(&[i, i]), 1)).collect();
     let (l, r) = rows.split_at(20);
@@ -289,7 +290,7 @@ fn scratch_bytes_after_load_database_is_bounded_by_the_budget_not_the_load() {
     }
     db.add_table(s).unwrap();
 
-    let mut engine = apps::count_engine(figure1_tree()).unwrap();
+    let mut engine = apps::count_engine(figure1_tree(false)).unwrap();
     assert_eq!(engine.stats().scratch_bytes, 0, "a fresh engine holds no scratch");
     engine.load_database(&db).unwrap();
     assert_eq!(engine.result(), 120_000);
@@ -312,7 +313,7 @@ fn scratch_bytes_after_load_database_is_bounded_by_the_budget_not_the_load() {
 
 #[test]
 fn table_bytes_tracks_view_growth() {
-    let mut engine = apps::count_engine(figure1_tree()).unwrap();
+    let mut engine = apps::count_engine(figure1_tree(false)).unwrap();
     let empty = engine.stats().table_bytes;
     let rows: Vec<(Tuple, i64)> = (0..2_000).map(|i| (t(&[i % 50, i]), 1)).collect();
     engine.apply_rows(0, rows.clone()).unwrap();
@@ -338,8 +339,8 @@ fn table_bytes_tracks_view_growth() {
 
 #[test]
 fn outcome_merge_sums_rows_and_delta_entries() {
-    let mut left = apps::count_engine(figure1_tree()).unwrap();
-    let mut right = apps::count_engine(figure1_tree()).unwrap();
+    let mut left = apps::count_engine(figure1_tree(false)).unwrap();
+    let mut right = apps::count_engine(figure1_tree(false)).unwrap();
     let a = left
         .apply_rows(0, vec![(t(&[1, 2]), 1), (t(&[2, 3]), 1)])
         .unwrap();

@@ -2,6 +2,7 @@
 
 use fivm_cdc::CdcError;
 use fivm_common::FivmError;
+use fivm_core::EngineError;
 use std::fmt;
 
 /// `Result` alias for the DAG surface.
@@ -61,6 +62,16 @@ impl std::error::Error for DagError {
 impl From<FivmError> for DagError {
     fn from(e: FivmError) -> Self {
         DagError::Query(e)
+    }
+}
+
+impl From<EngineError> for DagError {
+    fn from(e: EngineError) -> Self {
+        match e {
+            EngineError::Query(e) => DagError::Query(e),
+            EngineError::State(msg) => DagError::State(msg),
+            EngineError::Corrupt(msg) => DagError::State(format!("corrupt state: {msg}")),
+        }
     }
 }
 

@@ -1,17 +1,16 @@
 #![forbid(unsafe_code)]
-//! # fivm-dag — the multi-query maintenance DAG
+//! # fivm-dag — fleets of queries over shared DAGs
 //!
-//! The single-tree engine (`fivm-core`) maintains *one* query. Real
-//! deployments maintain fleets of them over the same feeds — and the
-//! F-IVM view trees of related queries (same variable order, different
+//! Real deployments maintain fleets of queries over the same feeds — and
+//! the F-IVM view trees of related queries (same variable order, different
 //! group-bys or aggregates over overlapping relation sets) share large
-//! structural prefixes. This crate folds N registered queries into one
-//! shared DAG so a common prefix is materialized and maintained **once**
-//! per update pass, fanning its delta out to every query above it.
+//! structural prefixes. The propagation driver, [`DagEngine`] (defined in
+//! `fivm_core::dag` and re-exported here; `fivm_core::Engine` is the same
+//! driver hosting one query), folds N registered queries into one shared
+//! DAG so a common prefix is materialized and maintained **once** per
+//! update pass, fanning its delta out to every query above it. This crate
+//! adds the fleet-level front ends:
 //!
-//! - [`DagEngine`] — the shared DAG for one ring type: fingerprint-keyed
-//!   node pool, one propagation pass per updated leaf, refcounted runtime
-//!   `register` / `unregister` with backfill from materialized state.
 //! - [`QueryRegistry`] — the multi-ring front door: COUNT / COVAR /
 //!   gen-COVAR + MI / relational queries register under one roof, each
 //!   ring group backed by its own `DagEngine`.
@@ -22,11 +21,10 @@
 //! in the "DAG contract" section of ROADMAP.md.
 
 pub mod durable;
-pub mod engine;
 pub mod error;
 pub mod registry;
 
 pub use durable::DurableRegistry;
-pub use engine::{DagEngine, DagKey};
 pub use error::{DagError, DagResult};
+pub use fivm_core::DagEngine;
 pub use registry::{QueryId, QueryKind, QueryRegistry};

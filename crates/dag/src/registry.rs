@@ -11,10 +11,9 @@
 //! shared. This is a documented deviation from full cross-ring sharing —
 //! see the DAG contract in ROADMAP.md.
 
-use crate::engine::DagEngine;
 use crate::error::{DagError, DagResult};
 use fivm_core::apps::{count_lifts, covar_lifts, gen_covar_lifts, mi_lifts, relational_lifts};
-use fivm_core::{BinSpec, EngineStats, UpdateOutcome};
+use fivm_core::{BinSpec, DagEngine, EngineStats, UpdateOutcome};
 use fivm_query::ViewTree;
 use fivm_relation::{Database, Relation, Update};
 use fivm_ring::{Cofactor, GenCofactor, RelValue, RingCtx};
@@ -251,43 +250,43 @@ impl QueryRegistry {
     /// Scalar COUNT result of a `QueryKind::Count` query without group-by.
     pub fn count_result(&self, id: QueryId) -> DagResult<i64> {
         let inner = self.expect_group(id, Group::Count)?;
-        self.count.result(inner)
+        Ok(self.count.result(inner)?)
     }
 
     /// Grouped COUNT result of a `QueryKind::Count` query.
     pub fn count_result_relation(&self, id: QueryId) -> DagResult<Relation<i64>> {
         let inner = self.expect_group(id, Group::Count)?;
-        self.count.result_relation(inner)
+        Ok(self.count.result_relation(inner)?)
     }
 
     /// Scalar cofactor result of a `QueryKind::Covar` query.
     pub fn covar_result(&self, id: QueryId) -> DagResult<Cofactor> {
         let inner = self.expect_group(id, Group::Covar)?;
-        self.covar.result(inner)
+        Ok(self.covar.result(inner)?)
     }
 
     /// Grouped cofactor result of a `QueryKind::Covar` query.
     pub fn covar_result_relation(&self, id: QueryId) -> DagResult<Relation<Cofactor>> {
         let inner = self.expect_group(id, Group::Covar)?;
-        self.covar.result_relation(inner)
+        Ok(self.covar.result_relation(inner)?)
     }
 
     /// Scalar generalized-cofactor result of a `GenCovar` or `Mi` query.
     pub fn gen_result(&self, id: QueryId) -> DagResult<GenCofactor> {
         let inner = self.expect_group(id, Group::Gen)?;
-        self.gen.result(inner)
+        Ok(self.gen.result(inner)?)
     }
 
     /// Grouped generalized-cofactor result of a `GenCovar` or `Mi` query.
     pub fn gen_result_relation(&self, id: QueryId) -> DagResult<Relation<GenCofactor>> {
         let inner = self.expect_group(id, Group::Gen)?;
-        self.gen.result_relation(inner)
+        Ok(self.gen.result_relation(inner)?)
     }
 
     /// Relational result of a `QueryKind::Relational` query.
     pub fn relational_result(&self, id: QueryId) -> DagResult<Relation<RelValue>> {
         let inner = self.expect_group(id, Group::Relational)?;
-        self.relational.result_relation(inner)
+        Ok(self.relational.result_relation(inner)?)
     }
 
     /// Live DAG nodes across all ring groups.

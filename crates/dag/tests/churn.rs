@@ -2,7 +2,7 @@
 //! re-registration after retirement, and the registry's typed error
 //! surface (unknown handles, ring-group mismatches, the sharded gate).
 
-use fivm_core::apps;
+use fivm_core::{apps, EngineError};
 use fivm_dag::{DagEngine, DagError, QueryKind, QueryRegistry};
 use fivm_data::retailer::retailer_tree;
 use fivm_data::{RetailerConfig, StreamConfig};
@@ -116,7 +116,7 @@ fn unregistering_the_prefix_owner_keeps_shared_nodes_alive() {
         dag.apply_update(u).unwrap();
     }
     assert!(dag.result_relation(sibling).is_ok());
-    assert!(matches!(dag.result_relation(owner), Err(DagError::State(_))));
+    assert!(matches!(dag.result_relation(owner), Err(EngineError::State(_))));
 }
 
 /// Register/unregister cycles drain the DAG completely (`live_nodes` back
@@ -228,4 +228,77 @@ fn registry_errors_are_typed() {
         matches!(err, DagError::Unsupported(_)),
         "wrong variant: {err:?}"
     );
+}
+
+/// A registration that fails — wrong lift count, new relations without the
+/// backfill a loaded DAG demands, a backfill missing their tables — is
+/// validated before anything is mutated: node count, every refcount and
+/// the view bytes stay exactly where they were, and the DAG keeps working.
+#[test]
+fn invalid_registration_leaves_the_dag_untouched() {
+    use fivm_data::favorita::{favorita_query, favorita_tree};
+    let (db, updates) = tiny_workload();
+    let mut dag: DagEngine<i64> = DagEngine::new();
+    let spec = retailer_grouped(&["locn"]);
+    let q = dag
+        .register(retailer_tree(spec.clone()), apps::count_lifts(&spec), None)
+        .unwrap();
+    dag.load_database(&db).unwrap();
+    for u in &updates[..1] {
+        dag.apply_update(u).unwrap();
+    }
+    let snapshot = |dag: &DagEngine<i64>| {
+        let refs: Vec<Option<usize>> = (0..64).map(|id| dag.node_refcount(id)).collect();
+        (
+            dag.live_nodes(),
+            dag.live_queries(),
+            refs,
+            dag.stats().table_bytes,
+        )
+    };
+    let before = snapshot(&dag);
+
+    // Shares every leaf and a prefix, but brings one lift too few.
+    let by_zip = retailer_grouped(&["locn", "zip"]);
+    let mut short = apps::count_lifts(&by_zip);
+    short.pop();
+    let err = dag
+        .register(retailer_tree(by_zip.clone()), short, None)
+        .expect_err("a lift per variable is required");
+    assert_eq!(err.kind(), "invalid_query");
+    assert_eq!(
+        snapshot(&dag),
+        before,
+        "a rejected lift set mutated the DAG"
+    );
+
+    // New relations on a loaded DAG: no backfill, then one without them.
+    let fav = favorita_query();
+    for backfill in [None, Some(&db)] {
+        let err = dag
+            .register(
+                favorita_tree(fav.clone()),
+                apps::count_lifts(&fav),
+                backfill,
+            )
+            .expect_err("new relations need their full history");
+        assert_eq!(err.kind(), "state");
+        assert_eq!(
+            snapshot(&dag),
+            before,
+            "a rejected backfill mutated the DAG"
+        );
+    }
+
+    // The DAG keeps maintaining, and a valid registration still lands.
+    for u in &updates[1..] {
+        dag.apply_update(u).unwrap();
+    }
+    assert!(dag.result_relation(q).is_ok());
+    dag.register(
+        retailer_tree(by_zip.clone()),
+        apps::count_lifts(&by_zip),
+        None,
+    )
+    .unwrap();
 }

@@ -1,5 +1,5 @@
 //! Seeded differential tests: a shared multi-query DAG against standalone
-//! single-tree engines, on Retailer and Favorita update streams.
+//! one-query engines, on Retailer and Favorita update streams.
 //!
 //! Every configuration registers K ≥ 3 overlapping queries (same relations
 //! and variable order, different group-bys and aggregates) in one
@@ -11,8 +11,8 @@
 //!
 //! # Exactness
 //!
-//! The DAG runs the same propagation kernel as the single-tree engine,
-//! but a query registered mid-stream is *backfilled* from materialized
+//! A standalone engine is the same driver hosting one query, but a query
+//! registered mid-stream is *backfilled* from materialized
 //! state, which re-associates ring additions relative to the standalone
 //! replay; the shared dictionary also changes hash iteration orders.
 //! Exactly as in the sharded differential suite:

@@ -11,7 +11,9 @@
 //!   `(X^T X + λ I) θ = X^T y` (the intercept is not regularized),
 //! * [`RidgeSolver::solve_gradient_descent`] — batch gradient descent with a
 //!   warm start, matching the demo's behaviour of resuming convergence from
-//!   the previous parameters after every bulk of updates.
+//!   the previous parameters after every bulk of updates; it descends in
+//!   standardized coordinates built from the same moments, so features of
+//!   any scale converge at one step size.
 
 use crate::covar::DenseCovar;
 use crate::linalg::{matvec, norm2, solve_spd};
@@ -48,11 +50,14 @@ impl RidgeModel {
 pub struct RidgeSolver {
     /// Ridge regularization strength λ.
     pub lambda: f64,
-    /// Gradient-descent learning rate (step size).
+    /// Gradient-descent step size, as a fraction of `1 / L` where `L`
+    /// bounds the curvature of the standardized problem (any value in
+    /// `(0, 2)` converges).
     pub learning_rate: f64,
     /// Maximum gradient-descent iterations per call.
     pub max_iterations: usize,
-    /// Convergence threshold on the gradient norm (relative to the count).
+    /// Convergence threshold on the norm of the standardized gradient
+    /// (relative to the count).
     pub tolerance: f64,
 }
 
@@ -60,7 +65,7 @@ impl Default for RidgeSolver {
     fn default() -> Self {
         RidgeSolver {
             lambda: 1e-3,
-            learning_rate: 0.1,
+            learning_rate: 1.0,
             max_iterations: 10_000,
             tolerance: 1e-9,
         }
@@ -119,6 +124,16 @@ impl RidgeSolver {
 
     /// Runs batch gradient descent, optionally warm-starting from previous
     /// parameters (the demo resumes convergence after every update bulk).
+    ///
+    /// The descent runs in standardized coordinates: every non-intercept
+    /// column `x_j` becomes `(x_j − μ_j) / σ_j`, with the means and
+    /// variances read off `xtx` (no data pass; a constant column is left
+    /// as it is).  That is a linear change of variables `θ = A z`, and the
+    /// objective — penalty included — is the same function of `θ`, so the
+    /// minimizer is the one [`RidgeSolver::solve_closed_form`] finds.  In
+    /// `z` the curvature has a unit diagonal and no intercept coupling, so
+    /// one step size, `learning_rate / L` with `L` the curvature's largest
+    /// absolute row sum, suits every feature whatever its scale.
     pub fn solve_gradient_descent(
         &self,
         covar: &DenseCovar,
@@ -130,40 +145,72 @@ impl RidgeSolver {
             ));
         }
         let n = covar.features.len();
-        let mut params = match warm_start {
+        let count = covar.count;
+        // Second moments E[x_i x_j]; row 0 is the intercept, so E[x_j] = m(0, j).
+        let m = |i: usize, j: usize| covar.xtx[i * n + j] / count;
+        let (shift, scale): (Vec<f64>, Vec<f64>) = (0..n)
+            .map(|j| {
+                let var = m(j, j) - m(0, j) * m(0, j);
+                if j > 0 && var > 1e-12 * m(j, j) {
+                    (m(0, j), var.sqrt())
+                } else {
+                    (0.0, 1.0)
+                }
+            })
+            .unzip();
+        // The standardized problem: curvature H = Aᵀ(XᵀX + λP)A / N and
+        // right-hand side Aᵀ Xᵀy / N, column j of A being
+        // (e_j − shift_j e_0) / scale_j.
+        let mut h = vec![0.0; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                h[i * n + j] = (m(i, j) - shift[i] * m(0, j) - shift[j] * m(i, 0)
+                    + shift[i] * shift[j] * m(0, 0))
+                    / (scale[i] * scale[j]);
+            }
+            if i > 0 {
+                h[i * n + i] += self.lambda / (count * scale[i] * scale[i]);
+            }
+        }
+        let rhs: Vec<f64> = (0..n)
+            .map(|j| (covar.xty[j] - shift[j] * covar.xty[0]) / (count * scale[j]))
+            .collect();
+        let curvature = (0..n)
+            .map(|i| h[i * n..(i + 1) * n].iter().map(|v| v.abs()).sum::<f64>())
+            .fold(f64::MIN_POSITIVE, f64::max);
+        let step = self.learning_rate / curvature;
+
+        // z = A⁻¹ θ.
+        let mut z = match warm_start {
             Some(p) if p.len() == n => p.to_vec(),
             _ => vec![0.0; n],
         };
-        let count = covar.count.max(1.0);
-        // Normalizing by the count and by the largest diagonal entry keeps
-        // the step size stable across dataset sizes and feature scales.
-        let max_diag = (0..n)
-            .map(|i| covar.xtx[i * n + i])
-            .fold(1.0f64, |a, b| a.max(b))
-            / count;
-        let step = self.learning_rate / max_diag;
+        for j in 1..n {
+            z[0] += shift[j] * z[j];
+            z[j] *= scale[j];
+        }
         let mut iterations = 0;
         for _ in 0..self.max_iterations {
-            let xtx_theta = matvec(&covar.xtx, &params, n);
-            let mut grad = vec![0.0; n];
-            for i in 0..n {
-                grad[i] = (xtx_theta[i] - covar.xty[i]) / count;
-                if i > 0 {
-                    grad[i] += self.lambda * params[i] / count;
-                }
+            let mut grad = matvec(&h, &z, n);
+            for (g, r) in grad.iter_mut().zip(&rhs) {
+                *g -= r;
             }
-            let gnorm = norm2(&grad);
-            if gnorm < self.tolerance {
+            if norm2(&grad) < self.tolerance {
                 break;
             }
-            for i in 0..n {
-                params[i] -= step * grad[i];
+            for (zi, g) in z.iter_mut().zip(&grad) {
+                *zi -= step * g;
             }
             iterations += 1;
         }
-        let objective = self.objective(covar, &params);
+        // θ = A z.
+        for j in 1..n {
+            z[j] /= scale[j];
+            z[0] -= shift[j] * z[j];
+        }
+        let objective = self.objective(covar, &z);
         Ok(RidgeModel {
-            params,
+            params: z,
             feature_names: (0..n).map(|i| covar.features.column_name(i)).collect(),
             objective,
             iterations,
@@ -245,6 +292,42 @@ mod tests {
             .solve_gradient_descent(&covar, Some(&cold.params))
             .unwrap();
         assert!(warm.iterations <= cold.iterations / 10 + 1);
+    }
+
+    /// A warm start after a bulk of updates converges in a handful of
+    /// iterations to the closed form, although the features' scales differ
+    /// by 10⁶ (`x1` in the thousands, `x2` in the thousandths).
+    #[test]
+    fn warm_start_converges_across_feature_scales() {
+        let cofactor = |rows: std::ops::Range<i32>| {
+            let mut acc = Cofactor::zero();
+            for i in rows {
+                let x1 = 1000.0 * (i % 7) as f64;
+                let x2 = 0.001 * ((i * 3) % 5) as f64;
+                let noise = 0.01 * ((i * 11) % 13) as f64;
+                let y = 2.0 + 0.003 * x1 - 400.0 * x2 + noise;
+                acc.add_assign(
+                    &Cofactor::lift(3, 0, x1)
+                        .mul(&Cofactor::lift(3, 1, x2))
+                        .mul(&Cofactor::lift(3, 2, y)),
+                );
+            }
+            DenseCovar::from_cofactor(&acc, &names(), 2).unwrap()
+        };
+        let solver = RidgeSolver::default();
+        let before = solver.solve_closed_form(&cofactor(0..400)).unwrap();
+        let after = cofactor(0..500);
+        let exact = solver.solve_closed_form(&after).unwrap();
+        let warm = solver
+            .solve_gradient_descent(&after, Some(&before.params))
+            .unwrap();
+        assert!(warm.iterations < 100, "{} iterations", warm.iterations);
+        for (a, b) in warm.params.iter().zip(&exact.params) {
+            assert!(
+                (a - b).abs() <= 1e-6 * b.abs(),
+                "gd={warm:?} exact={exact:?}"
+            );
+        }
     }
 
     #[test]

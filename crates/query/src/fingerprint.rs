@@ -1,12 +1,12 @@
 //! Canonical, `Eq`/`Hash`-able structural fingerprints for view-tree nodes
 //! and relation schemas.
 //!
-//! Until now plan identity was pointer-based: sharing a compiled plan meant
-//! literally cloning the same [`crate::ViewTree`] into several engines
-//! (`Engine::with_plan`).  A multi-query deployment needs *structural*
-//! identity instead — "these two queries maintain the same view over the
-//! same sub-join" — so equal prefixes across independently built queries
-//! can unify into shared DAG nodes (see `fivm_dag`).
+//! Cloning one [`crate::ViewTree`] into several engines (one per shard)
+//! gives them equal plans but says nothing about two *different* queries.
+//! A multi-query deployment needs *structural* identity — "these two
+//! queries maintain the same view over the same sub-join" — so equal
+//! prefixes across independently built queries can unify into shared DAG
+//! nodes (see `fivm_core::dag`).
 //!
 //! A [`NodeFingerprint`] is the recursive canonical form of one view and
 //! its entire subtree:

@@ -24,7 +24,6 @@
 //! by the engine when a variable is marginalized.
 
 pub mod axioms;
-pub mod boxed;
 pub mod cofactor;
 pub mod ctx;
 pub mod gencofactor;
@@ -37,7 +36,6 @@ pub mod relvalue;
 pub mod ring;
 pub mod symmatrix;
 
-pub use boxed::{BoxedCatKey, BoxedRelValue};
 pub use cofactor::Cofactor;
 pub use ctx::RingCtx;
 pub use gencofactor::GenCofactor;

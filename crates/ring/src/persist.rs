@@ -3,7 +3,7 @@
 //! The durability layer (`fivm_cdc`) serializes an engine's materialized
 //! views; the payload half of every view entry is a ring value, and this
 //! module defines its wire form.  Only the rings the engine snapshots
-//! implement the trait — test oracles ([`crate::boxed`]) and experimental
+//! implement the trait — test oracles (`tests/support/boxed.rs`) and experimental
 //! rings stay out, which keeps [`crate::ring::Ring`] itself unchanged (no
 //! breaking additions to every ad-hoc ring in the test suite).
 //!

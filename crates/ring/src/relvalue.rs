@@ -60,8 +60,8 @@
 //!   mutual-information matrix.
 //!
 //! The boxed-`Value` representation this module replaces survives as
-//! [`crate::BoxedRelValue`], the reference implementation for differential
-//! tests and the `RING-*` ablation benchmarks.
+//! `BoxedRelValue` in `crates/ring/tests/support/boxed.rs`, the reference
+//! implementation of the differential suite (`relvalue_differential.rs`).
 
 use crate::relkey::RelKey;
 use crate::ring::{approx_f64, ApproxEq, Ring};

@@ -10,9 +10,13 @@
 //! `-0.0` vs `0.0`, and NaN payloads.
 
 use fivm_common::Value;
-use fivm_ring::{ApproxEq, BoxedRelValue, RelValue, Ring, RingCtx};
+use fivm_ring::{ApproxEq, RelValue, Ring, RingCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+#[path = "support/boxed.rs"]
+mod boxed;
+use boxed::BoxedRelValue;
 
 /// The value pool: every kind the encoding must canonicalize, including the
 /// `-0.0`/`0.0` pair and two NaN payloads that must collapse to one key.

@@ -1,6 +1,6 @@
 //! The boxed-key reference implementation of the relation ring.
 //!
-//! This is the representation [`crate::RelValue`] used before the ring
+//! This is the representation `fivm_ring::RelValue` used before the ring
 //! interior moved onto the hash-once machinery: keys are heap-boxed slices
 //! of `(attribute id, Value)` pairs inside an `FxHashMap`, so every ring
 //! operation re-hashes dynamically typed values (enum-tag matching, string
@@ -8,13 +8,16 @@
 //!
 //! It is kept — deliberately unoptimized — as the **oracle** of the seeded
 //! encoded-vs-boxed differential suite
-//! (`crates/ring/tests/relvalue_differential.rs`).
+//! (`crates/ring/tests/relvalue_differential.rs`, which includes this file
+//! by `#[path]`), and lives under `tests/` because it is test code, not
+//! product code.
 //!
-//! It must stay semantically identical to [`crate::RelValue`]; it is not
-//! exported for production use.
+//! It must stay semantically identical to `fivm_ring::RelValue`.
 
-use crate::ring::{approx_f64, ApproxEq, Ring};
+#![allow(dead_code)]
+
 use fivm_common::{FxHashMap, Value, VarId};
+use fivm_ring::ring::{approx_f64, ApproxEq, Ring};
 
 /// The key of one entry: categorical assignments, sorted by attribute id.
 pub type BoxedCatKey = Box<[(u32, Value)]>;
@@ -73,7 +76,7 @@ impl BoxedRelValue {
     }
 
     /// The entries as a sorted `(pairs, weight)` listing — the same
-    /// canonical form as [`crate::RelValue::decode_entries`], which is how
+    /// canonical form as `RelValue::decode_entries`, which is how
     /// the differential suite compares the two representations.
     pub fn sorted_entries(&self) -> Vec<(BoxedCatKey, f64)> {
         let mut out: Vec<(BoxedCatKey, f64)> = self
@@ -239,7 +242,7 @@ impl ApproxEq for BoxedRelValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::axioms;
+    use fivm_ring::axioms;
 
     #[test]
     fn boxed_reference_satisfies_the_ring_axioms() {

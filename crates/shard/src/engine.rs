@@ -4,7 +4,7 @@ use crate::error::{ShardError, ShardResult};
 use crate::plan::ShardPlan;
 use crate::worker::{Cmd, Worker};
 use fivm_common::{Dict, FivmError, RelId, Result};
-use fivm_core::{Engine, EngineError, EngineStats, ExecutionPlan, UpdateOutcome};
+use fivm_core::{Engine, EngineError, EngineStats, UpdateOutcome};
 use fivm_query::{QuerySpec, RelationRouting, ViewTree};
 use fivm_relation::{Database, Relation, Schema, Tuple, Update};
 use fivm_ring::{LiftFn, Ring, RingCtx};
@@ -90,9 +90,8 @@ impl<R: Ring> ShardedEngine<R> {
     /// Builds a sharded engine, choosing the partition variable
     /// automatically (see [`ShardPlan::new`]).
     ///
-    /// The view tree is compiled once; the N per-shard engines share the
-    /// compiled plan ([`Engine::with_plan`]) but own disjoint state.
-    /// The lifts are cloned to every shard, so this constructor is for
+    /// Each of the N per-shard engines is built from the same view tree
+    /// ([`Engine::new_with_ctx`]) and owns disjoint state.  The lifts are cloned to every shard, so this constructor is for
     /// **context-free** lift sets only (count, plain COVAR, any lift that
     /// never touches a [`RingCtx`]).  Relational-ring lifts encode keys
     /// through the dictionary they were built against, which must be the
@@ -101,8 +100,7 @@ impl<R: Ring> ShardedEngine<R> {
     /// [`crate::apps`] does); pairing externally-built relational lifts
     /// with this constructor silently mixes two dictionaries.
     pub fn new(tree: ViewTree, lifts: Vec<LiftFn<R>>, num_shards: usize) -> Result<Self> {
-        let plan = ShardPlan::new(&tree, num_shards)?;
-        Self::with_shard_plan(tree, move |_| Ok(lifts.clone()), plan)
+        Self::with_lift_factory(tree, move |_| Ok(lifts.clone()), num_shards)
     }
 
     /// Builds a sharded engine whose lifts are constructed **per shard**
@@ -111,58 +109,18 @@ impl<R: Ring> ShardedEngine<R> {
     /// factorized evaluation) must use this constructor so every shard's
     /// lifts share the dictionary of the engine they feed —
     /// [`crate::apps`] wires the shipped applications.
-    pub fn with_lift_factory<F>(tree: ViewTree, factory: F, num_shards: usize) -> Result<Self>
+    pub fn with_lift_factory<F>(tree: ViewTree, lift_factory: F, num_shards: usize) -> Result<Self>
     where
         F: Fn(&RingCtx) -> Result<Vec<LiftFn<R>>>,
     {
         let plan = ShardPlan::new(&tree, num_shards)?;
-        Self::with_shard_plan(tree, factory, plan)
-    }
-
-    /// Builds a sharded engine partitioning on an explicit variable.
-    /// Like [`ShardedEngine::new`], this clones one lift set to every
-    /// shard and is therefore for **context-free** lifts only; relational
-    /// rings must use
-    /// [`ShardedEngine::with_partition_variable_factory`].
-    pub fn with_partition_variable(
-        tree: ViewTree,
-        lifts: Vec<LiftFn<R>>,
-        var: usize,
-        num_shards: usize,
-    ) -> Result<Self> {
-        let plan = ShardPlan::with_partition_variable(&tree, var, num_shards)?;
-        Self::with_shard_plan(tree, move |_| Ok(lifts.clone()), plan)
-    }
-
-    /// [`ShardedEngine::with_lift_factory`] with an explicit partition
-    /// variable: lifts are built per shard against that shard's own
-    /// [`RingCtx`], as the ring-key contract requires for relational
-    /// rings.
-    pub fn with_partition_variable_factory<F>(
-        tree: ViewTree,
-        factory: F,
-        var: usize,
-        num_shards: usize,
-    ) -> Result<Self>
-    where
-        F: Fn(&RingCtx) -> Result<Vec<LiftFn<R>>>,
-    {
-        let plan = ShardPlan::with_partition_variable(&tree, var, num_shards)?;
-        Self::with_shard_plan(tree, factory, plan)
-    }
-
-    fn with_shard_plan<F>(tree: ViewTree, lift_factory: F, plan: ShardPlan) -> Result<Self>
-    where
-        F: Fn(&RingCtx) -> Result<Vec<LiftFn<R>>>,
-    {
         let spec = tree.spec().clone();
-        let exec = ExecutionPlan::compile(tree)?;
         let workers = (0..plan.num_shards())
             .map(|shard| {
                 // One context (and therefore one dictionary) per shard.
                 let ctx = RingCtx::new();
                 let lifts = lift_factory(&ctx)?;
-                let engine = Engine::with_plan_ctx(exec.clone(), lifts, ctx)?;
+                let engine = Engine::new_with_ctx(tree.clone(), lifts, ctx)?;
                 Ok(Worker::spawn(shard, engine))
             })
             .collect::<Result<Vec<_>>>()?;
@@ -560,20 +518,9 @@ impl<R: Ring> std::fmt::Debug for ShardedEngine<R> {
 mod tests {
     use super::*;
     use fivm_core::apps;
-    use fivm_query::spec::figure1_query;
+    use fivm_data::figure1::figure1_tree;
     use fivm_common::Value;
     use fivm_relation::tuple;
-
-    fn figure1_tree() -> ViewTree {
-        let spec = figure1_query(false);
-        let a = spec.var_id("A").unwrap();
-        let c = spec.var_id("C").unwrap();
-        let mut parents = vec![None; 4];
-        parents[spec.var_id("B").unwrap()] = Some(a);
-        parents[c] = Some(a);
-        parents[spec.var_id("D").unwrap()] = Some(c);
-        ViewTree::from_parent_vars(spec, &parents).unwrap()
-    }
 
     fn t(vals: &[i64]) -> Tuple {
         tuple(vals.iter().map(|&v| Value::int(v)))
@@ -581,7 +528,7 @@ mod tests {
 
     #[test]
     fn sharded_count_matches_single_engine() {
-        let tree = figure1_tree();
+        let tree = figure1_tree(false);
         let lifts = apps::count_lifts(tree.spec());
         let mut single = Engine::new(tree.clone(), lifts.clone()).unwrap();
         let mut sharded = ShardedEngine::new(tree, lifts, 3).unwrap();
@@ -605,7 +552,7 @@ mod tests {
 
     #[test]
     fn one_shard_behaves_like_the_single_engine() {
-        let tree = figure1_tree();
+        let tree = figure1_tree(false);
         let lifts = apps::count_lifts(tree.spec());
         let mut single = Engine::new(tree.clone(), lifts.clone()).unwrap();
         let mut sharded = ShardedEngine::new(tree, lifts, 1).unwrap();
@@ -618,7 +565,7 @@ mod tests {
 
     #[test]
     fn unknown_table_and_bad_arity_are_rejected() {
-        let tree = figure1_tree();
+        let tree = figure1_tree(false);
         let lifts = apps::count_lifts(tree.spec());
         let mut sharded = ShardedEngine::new(tree, lifts, 2).unwrap();
         let err = sharded
@@ -644,7 +591,7 @@ mod tests {
         // A batch mixing valid rows (routed to one shard) with a malformed
         // row (routed to another) must mutate NO shard — exactly like the
         // single engine's whole-batch rejection.
-        let tree = figure1_tree();
+        let tree = figure1_tree(false);
         let lifts = apps::count_lifts(tree.spec());
         let mut sharded = ShardedEngine::new(tree, lifts, 4).unwrap();
         sharded.apply_rows(0, vec![(t(&[1, 2]), 1)]).unwrap();
@@ -668,7 +615,7 @@ mod tests {
     #[test]
     fn worker_panic_is_contained_and_poisons_the_engine() {
         use fivm_ring::LiftFn;
-        let tree = figure1_tree();
+        let tree = figure1_tree(false);
         let spec = tree.spec().clone();
         let b = spec.var_id("B").unwrap();
         let mut lifts = apps::count_lifts(&spec);
@@ -701,7 +648,7 @@ mod tests {
 
     #[test]
     fn stats_sum_across_shards() {
-        let tree = figure1_tree();
+        let tree = figure1_tree(false);
         let lifts = apps::count_lifts(tree.spec());
         let mut sharded = ShardedEngine::new(tree, lifts, 4).unwrap();
         let rows: Vec<(Tuple, i64)> = (0..40).map(|i| (t(&[i, i]), 1)).collect();

@@ -43,8 +43,7 @@
 //! update volume — so `B ≈ 0` and scaling is governed by cores and by
 //! routing overhead; but a workload updating mostly dimension tables that
 //! miss the partition variable replicates nearly all its work `N` times
-//! and is better served by a different partition variable
-//! ([`ShardedEngine::with_partition_variable`]) or by a single engine.
+//! and is better served by a single engine.
 //! Per-shard state also shrinks only for routed relations: broadcast views
 //! are replicated N times in memory.
 //!

@@ -38,16 +38,6 @@ impl ShardPlan {
         Self::from_partition(partition, num_shards)
     }
 
-    /// Derives a plan for an explicitly chosen partition variable.
-    pub fn with_partition_variable(
-        tree: &ViewTree,
-        var: VarId,
-        num_shards: usize,
-    ) -> Result<ShardPlan> {
-        let partition = PartitionPlan::for_variable(tree.spec(), var)?;
-        Self::from_partition(partition, num_shards)
-    }
-
     fn from_partition(partition: PartitionPlan, num_shards: usize) -> Result<ShardPlan> {
         if num_shards == 0 {
             return Err(FivmError::InvalidQuery(
@@ -90,22 +80,11 @@ impl ShardPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fivm_query::spec::figure1_query;
-
-    fn figure1_tree() -> ViewTree {
-        let spec = figure1_query(false);
-        let a = spec.var_id("A").unwrap();
-        let c = spec.var_id("C").unwrap();
-        let mut parents = vec![None; 4];
-        parents[spec.var_id("B").unwrap()] = Some(a);
-        parents[c] = Some(a);
-        parents[spec.var_id("D").unwrap()] = Some(c);
-        ViewTree::from_parent_vars(spec, &parents).unwrap()
-    }
+    use fivm_data::figure1::figure1_tree;
 
     #[test]
     fn routing_is_deterministic_and_in_range() {
-        let plan = ShardPlan::new(&figure1_tree(), 4).unwrap();
+        let plan = ShardPlan::new(&figure1_tree(false), 4).unwrap();
         for i in 0..1000i64 {
             let v = Value::int(i);
             let s = plan.shard_of(&v);
@@ -116,7 +95,7 @@ mod tests {
 
     #[test]
     fn every_shard_owns_some_keys() {
-        let plan = ShardPlan::new(&figure1_tree(), 4).unwrap();
+        let plan = ShardPlan::new(&figure1_tree(false), 4).unwrap();
         let mut seen = [false; 4];
         for i in 0..64i64 {
             seen[plan.shard_of(&Value::int(i))] = true;
@@ -126,7 +105,7 @@ mod tests {
 
     #[test]
     fn doubles_route_by_canonical_bits() {
-        let plan = ShardPlan::new(&figure1_tree(), 7).unwrap();
+        let plan = ShardPlan::new(&figure1_tree(false), 7).unwrap();
         assert_eq!(
             plan.shard_of(&Value::double(0.0)),
             plan.shard_of(&Value::double(-0.0))
@@ -139,15 +118,6 @@ mod tests {
 
     #[test]
     fn zero_shards_is_rejected() {
-        assert!(ShardPlan::new(&figure1_tree(), 0).is_err());
-    }
-
-    #[test]
-    fn explicit_partition_variable_is_honored() {
-        let tree = figure1_tree();
-        let c = tree.spec().var_id("C").unwrap();
-        let plan = ShardPlan::with_partition_variable(&tree, c, 2).unwrap();
-        assert_eq!(plan.partition_var(), c);
-        assert_eq!(plan.partition().num_broadcast(), 1);
+        assert!(ShardPlan::new(&figure1_tree(false), 0).is_err());
     }
 }
