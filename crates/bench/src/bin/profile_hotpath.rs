@@ -7,7 +7,9 @@
 //! scale under the generalized COVAR and MI payloads, each 1000-row bulk
 //! applied and then inverted (the cancel-and-refill churn a maintained view
 //! lives in), measured after one warm round — ns/row, allocations/row,
-//! ring-interior rehashes per 1000 rows and the resident `table_bytes`.
+//! ring-interior rehashes per 1000 rows, the resident `table_bytes` and
+//! those bytes per view entry (what `ring.payload_bytes_per_entry` reports
+//! in the benchmark: payloads plus the view maps that hold them).
 
 use fivm_bench::Workload;
 use fivm_core::Engine;
@@ -43,11 +45,12 @@ fn favorita_profile(label: &str, workload: &Workload, mut engine: Engine<GenCofa
     let stats = engine.stats();
     let rows = (stats.rows_applied - before.rows_applied) as f64;
     println!(
-        "{label}: {:>7.0} ns/row  {:>6.1} allocs/row  {:>7.1} ring rehashes/krow  {:>6.1} MB table_bytes  ({rows} rows)",
+        "{label}: {:>7.0} ns/row  {:>6.1} allocs/row  {:>7.1} ring rehashes/krow  {:>6.1} MB table_bytes  {:>6.0} B/view entry  ({rows} rows)",
         dt.as_nanos() as f64 / rows,
         da as f64 / rows,
         (stats.ring_rehashes - before.ring_rehashes) as f64 * 1000.0 / rows,
         stats.table_bytes as f64 / (1024.0 * 1024.0),
+        stats.table_bytes as f64 / engine.total_view_entries().max(1) as f64,
     );
 }
 

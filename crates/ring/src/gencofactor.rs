@@ -29,15 +29,28 @@
 //! packed [`SymMatrix`] for the products — literally a [`crate::CofactorElem`]
 //! shape, sharing its auto-vectorized slice kernels), and the interior
 //! relations hold **only non-empty keys**.  That invariant makes the split
-//! canonical, so derived equality is sound, and it turns the dense half of
-//! every GenCofactor operation into straight-line `f64` slice arithmetic.
-//! Composed views (empty key folded back in) are available at the output
-//! boundary via [`GenCofactorElem::sum`] / [`GenCofactorElem::prod`].
+//! canonical, so component-wise equality is sound, and it turns the dense
+//! half of every GenCofactor operation into straight-line `f64` slice
+//! arithmetic.  Composed views (empty key folded back in) are available at
+//! the output boundary via [`GenCofactorElem::sum`] /
+//! [`GenCofactorElem::prod`].
 //!
+//! The categorical half is **sparse**: one list of `(component id,
+//! relation)` pairs sorted by id — `i` for `s_i`, `dim + tri_index(i, j)`
+//! for `Q_ij` — holding only the components with categorical mass, as the
+//! paper's one-hot encoding stores only the categories present in the join
+//! result.  A payload of one joined tuple with a categorical lift has mass
+//! in two or three of Favorita's 65 categorical components, so the list
+//! holds those and nothing else; an absent component reads as a shared
+//! empty relation, so the accessors keep their `&RelValue` signatures.
+//! Every operation visits the list by a sorted merge or a binary search,
+//! and an accumulation lists a new component only when it leaves mass in
+//! it.  Each component still receives its contributions in the order a
+//! dense walk would give them, so every weight is the same to the bit.
 //! The categorical components of a single joined tuple hold one key each,
 //! and a one-entry [`RelValue`] is stored inline — so a single-tuple payload
-//! owns its four vectors and nothing else, and lifting a category into an
-//! empty component allocates nothing.
+//! owns its dense half and one short list, and lifting a category into a
+//! pooled payload allocates nothing.
 //!
 //! # The support-aware product
 //!
@@ -89,9 +102,9 @@ pub enum GenCofactor {
 
 /// Dense representation of a generalized cofactor element of dimension `m`,
 /// in split form (see the module docs): continuous (empty-key) mass in
-/// dense scalar fields, categorical mass in relations that never contain
-/// the empty key.
-#[derive(Clone, Debug, PartialEq)]
+/// dense scalar fields, categorical mass in a sparse list of relations that
+/// never contain the empty key.
+#[derive(Debug)]
 pub struct GenCofactorElem {
     /// The count aggregate `SUM(1)`.
     pub count: f64,
@@ -101,13 +114,18 @@ pub struct GenCofactorElem {
     /// Empty-key weights of the interaction aggregates (`SUM(X_i·X_j)`),
     /// packed upper triangle.
     pub(crate) prods_scalar: SymMatrix,
-    /// Categorical parts of the linear aggregates.  Invariant: no empty
-    /// keys — that mass lives in `sums_scalar`.
-    pub(crate) sums_cats: Vec<RelValue>,
-    /// Categorical parts of the interaction aggregates, packed upper
-    /// triangle.  Invariant: no empty keys.
-    pub(crate) prods_cats: Vec<RelValue>,
+    /// Categorical parts of the linear and interaction aggregates that
+    /// hold any, as `(component id, relation)` sorted by id: `i` for `s_i`,
+    /// `dim + tri_index(dim, i, j)` for `Q_ij`.  An absent id is the empty
+    /// relation.  Invariant: no empty keys — that mass lives in the dense
+    /// fields.  A listed relation may be empty (cancelled in place, or
+    /// kept by `reset_zero` for its buffer); equality, `is_zero` and
+    /// [`Clone`] look through such components, and a clone drops them.
+    pub(crate) cats: Vec<(u32, RelValue)>,
 }
+
+/// The relation every component absent from a component list reads as.
+static NO_MASS: RelValue = RelValue::empty();
 
 #[inline]
 fn tri_len(dim: usize) -> usize {
@@ -121,6 +139,78 @@ fn tri_index(dim: usize, i: usize, j: usize) -> usize {
     i * dim - i * (i + 1) / 2 + j
 }
 
+/// The component id of the interaction `(i, j)` in a dimension-`dim`
+/// component list (linear aggregate `i` is id `i`).
+#[inline]
+fn prod_id(dim: usize, i: usize, j: usize) -> u32 {
+    (dim + tri_index(dim, i, j)) as u32
+}
+
+/// Runs `f` on component `id` of a component list.  An absent component
+/// is built in a local and listed only if `f` leaves mass in it, so an
+/// accumulation that adds nothing touches nothing.
+#[inline]
+fn update_cat(cats: &mut Vec<(u32, RelValue)>, id: u32, f: impl FnOnce(&mut RelValue)) {
+    match cats.binary_search_by_key(&id, |&(c, _)| c) {
+        Ok(p) => f(&mut cats[p].1),
+        Err(p) => {
+            let mut fresh = RelValue::empty();
+            f(&mut fresh);
+            if !fresh.is_empty() {
+                cats.insert(p, (id, fresh));
+            }
+        }
+    }
+}
+
+/// The listed components that hold mass.
+fn live(cats: &[(u32, RelValue)]) -> impl Iterator<Item = &(u32, RelValue)> {
+    cats.iter().filter(|(_, r)| !r.is_empty())
+}
+
+/// `dst += k · src` over whole component lists — a sorted merge: a
+/// component both hold accumulates in place; one only `src` holds is
+/// listed as a right-sized scaled copy (the entries, order and bits the
+/// accumulation into an empty relation would give).
+fn add_cats_scaled(dst: &mut Vec<(u32, RelValue)>, src: &[(u32, RelValue)], k: f64) {
+    if k == 0.0 {
+        return;
+    }
+    let mut p = 0;
+    for (id, r) in live(src) {
+        while p < dst.len() && dst[p].0 < *id {
+            p += 1;
+        }
+        if p < dst.len() && dst[p].0 == *id {
+            dst[p].1.add_scaled(r, k);
+        } else {
+            let copy = r.map_weights(|w| k * w);
+            if copy.is_empty() {
+                continue;
+            }
+            dst.insert(p, (*id, copy));
+        }
+        p += 1;
+    }
+}
+
+/// The non-empty components of a list, right-sized: the list and each
+/// relation rebuilt at their length (through `f`, which may also rekey or
+/// scale a relation; a result that came out empty is dropped).
+fn rebuild_cats(
+    cats: &[(u32, RelValue)],
+    mut f: impl FnMut(&RelValue) -> RelValue,
+) -> Vec<(u32, RelValue)> {
+    let mut out = Vec::with_capacity(live(cats).count());
+    for (id, r) in live(cats) {
+        let r = f(r);
+        if !r.is_empty() {
+            out.push((*id, r));
+        }
+    }
+    out
+}
+
 /// The composed (relation) view of a split component: the categorical part
 /// plus the empty-key scalar mass.
 fn compose(scalar: f64, cats: &RelValue) -> RelValue {
@@ -132,7 +222,7 @@ fn compose(scalar: f64, cats: &RelValue) -> RelValue {
 }
 
 /// Which linear aggregates of an element carry mass, as two bit sets over
-/// the attribute index: `cat` — the categorical part `sums_cats[i]` is
+/// the attribute index: `cat` — the categorical part of `s_i` is
 /// non-empty; `any` — that, or the continuous mass `sums_scalar[i]` is
 /// non-zero.  Derived from the operands at every product (a dozen
 /// emptiness checks), never stored, so there is nothing to keep in sync.
@@ -146,11 +236,13 @@ struct Support {
 
 impl Support {
     fn of(e: &GenCofactorElem) -> Support {
-        let (mut any, mut cat) = (0u64, 0u64);
-        for (i, (&x, r)) in e.sums_scalar.iter().zip(&e.sums_cats).enumerate().take(64) {
-            let c = u64::from(!r.is_empty());
-            cat |= c << i;
-            any |= (c | u64::from(x != 0.0)) << i;
+        let mut cat = 0u64;
+        for (i, _) in e.sum_parts().filter(|&(i, _)| i < 64) {
+            cat |= 1 << i;
+        }
+        let mut any = cat;
+        for (i, &x) in e.sums_scalar.iter().enumerate().take(64) {
+            any |= u64::from(x != 0.0) << i;
         }
         Support { any, cat }
     }
@@ -167,22 +259,23 @@ impl Support {
 }
 
 impl GenCofactorElem {
-    /// A zero element of dimension `dim`.
+    /// A zero element of dimension `dim`: the dense half, and an empty
+    /// component list that allocates on its first categorical component.
     pub fn zeros(dim: usize) -> Self {
         GenCofactorElem {
             count: 0.0,
             sums_scalar: vec![0.0; dim],
             prods_scalar: SymMatrix::zeros(dim),
-            sums_cats: vec![RelValue::empty(); dim],
-            prods_cats: vec![RelValue::empty(); tri_len(dim)],
+            cats: Vec::new(),
         }
     }
 
     /// Builds an element from *composed* per-component relations (empty-key
     /// mass included), splitting each into the dense scalar fields and the
     /// cats-only interior — the snapshot-decode constructor.  The input
-    /// relations are reused in place, so restored components keep their
-    /// right-sized tables (zero growth rehashes).
+    /// relations are moved into the component list, so restored components
+    /// keep their right-sized interiors (zero growth rehashes); components
+    /// with no categorical mass are not listed.
     pub fn from_composed(count: f64, mut sums: Vec<RelValue>, mut prods: Vec<RelValue>) -> Self {
         let dim = sums.len();
         assert_eq!(prods.len(), tri_len(dim), "packed triangle length mismatch");
@@ -201,12 +294,18 @@ impl GenCofactorElem {
                 t += 1;
             }
         }
+        let live = sums.iter().chain(&prods).filter(|r| !r.is_empty()).count();
+        let mut cats = Vec::with_capacity(live);
+        for (id, r) in sums.into_iter().chain(prods).enumerate() {
+            if !r.is_empty() {
+                cats.push((id as u32, r));
+            }
+        }
         GenCofactorElem {
             count,
             sums_scalar,
             prods_scalar,
-            sums_cats: sums,
-            prods_cats: prods,
+            cats,
         }
     }
 
@@ -215,16 +314,40 @@ impl GenCofactorElem {
         self.sums_scalar.len()
     }
 
+    /// Component `id`'s categorical part (the empty relation when absent).
+    #[inline]
+    fn cat(&self, id: u32) -> &RelValue {
+        match self.cats.binary_search_by_key(&id, |&(c, _)| c) {
+            Ok(p) => &self.cats[p].1,
+            Err(_) => &NO_MASS,
+        }
+    }
+
+    /// The non-empty categorical parts of the linear aggregates, as
+    /// `(i, s_i)` in index order (they lead the component list).
+    fn sum_parts(&self) -> impl Iterator<Item = (usize, &RelValue)> {
+        let dim = self.dim();
+        live(&self.cats)
+            .take_while(move |&&(id, _)| (id as usize) < dim)
+            .map(|(id, r)| (*id as usize, r))
+    }
+
     /// The empty-key (continuous) mass of the linear aggregate `idx`.
     #[inline]
     pub fn sum_scalar(&self, idx: usize) -> f64 {
         self.sums_scalar[idx]
     }
 
-    /// The categorical part of the linear aggregate `idx` (no empty keys).
+    /// The categorical part of the linear aggregate `idx` (no empty keys;
+    /// a shared empty relation when it holds no categorical mass).
     #[inline]
     pub fn sum_cats(&self, idx: usize) -> &RelValue {
-        &self.sums_cats[idx]
+        assert!(
+            idx < self.dim(),
+            "aggregate {idx} out of bounds for dimension {}",
+            self.dim()
+        );
+        self.cat(idx as u32)
     }
 
     /// The empty-key (continuous) mass of the interaction `(i, j)`.
@@ -233,16 +356,22 @@ impl GenCofactorElem {
         self.prods_scalar.get(i, j)
     }
 
-    /// The categorical part of the interaction `(i, j)` (no empty keys).
+    /// The categorical part of the interaction `(i, j)` (no empty keys; a
+    /// shared empty relation when it holds no categorical mass).
     #[inline]
     pub fn prod_cats(&self, i: usize, j: usize) -> &RelValue {
-        &self.prods_cats[tri_index(self.dim(), i, j)]
+        let dim = self.dim();
+        assert!(
+            i < dim && j < dim,
+            "interaction ({i}, {j}) out of bounds for dimension {dim}"
+        );
+        self.cat(prod_id(dim, i, j))
     }
 
     /// The composed linear aggregate `idx` as a relation (output boundary;
     /// allocates a fresh relation).
     pub fn sum(&self, idx: usize) -> RelValue {
-        compose(self.sums_scalar[idx], &self.sums_cats[idx])
+        compose(self.sums_scalar[idx], self.sum_cats(idx))
     }
 
     /// The composed interaction `(i, j)` as a relation (output boundary;
@@ -278,9 +407,10 @@ impl GenCofactor {
         assert!(idx < dim, "lift index {idx} out of bounds for dimension {dim}");
         let mut e = GenCofactorElem::zeros(dim);
         e.count = 1.0;
-        e.sums_cats[idx] = RelValue::indicator(attr, value);
-        let d = tri_index(dim, idx, idx);
-        e.prods_cats[d] = RelValue::indicator(attr, value);
+        e.cats = vec![
+            (idx as u32, RelValue::indicator(attr, value)),
+            (prod_id(dim, idx, idx), RelValue::indicator(attr, value)),
+        ];
         GenCofactor::Elem(e)
     }
 
@@ -327,7 +457,7 @@ impl GenCofactor {
     pub fn sum_cats(&self, idx: usize) -> Option<&RelValue> {
         match self {
             GenCofactor::Scalar(_) => None,
-            GenCofactor::Elem(e) => e.sums_cats.get(idx),
+            GenCofactor::Elem(e) => (idx < e.dim()).then(|| e.sum_cats(idx)),
         }
     }
 
@@ -394,16 +524,7 @@ impl GenCofactor {
                     count: e.count * k,
                     sums_scalar: e.sums_scalar.iter().map(|&x| x * k).collect(),
                     prods_scalar,
-                    sums_cats: e
-                        .sums_cats
-                        .iter()
-                        .map(|s| s.map_weights(|w| w * k))
-                        .collect(),
-                    prods_cats: e
-                        .prods_cats
-                        .iter()
-                        .map(|q| q.map_weights(|w| w * k))
-                        .collect(),
+                    cats: rebuild_cats(&e.cats, |r| r.map_weights(|w| w * k)),
                 })
             }
         }
@@ -465,22 +586,20 @@ impl GenCofactor {
                 for (dst, &src) in o.sums_scalar.iter_mut().zip(&a.sums_scalar) {
                     *dst += s * src;
                 }
-                for (dst, src) in o.sums_cats.iter_mut().zip(&a.sums_cats) {
-                    dst.add_scaled(src, s);
-                }
                 o.prods_scalar.add_scaled(&a.prods_scalar, s);
-                for (dst, src) in o.prods_cats.iter_mut().zip(&a.prods_cats) {
-                    dst.add_scaled(src, s);
-                }
+                add_cats_scaled(&mut o.cats, &a.cats, s);
                 // s_idx gains x per joined tuple: s · x · acc.count.
                 o.sums_scalar[idx] += s * x * a.count;
                 // Cross terms touch only row/column idx; the (idx, idx)
-                // cell receives both symmetric halves.
+                // cell receives both symmetric halves.  Only the linear
+                // aggregates of `acc` with categorical mass contribute.
                 o.prods_scalar
                     .add_rank_one_cross_scaled(idx, &a.sums_scalar, s * x);
-                for i in 0..dim {
+                for (i, part) in a.sum_parts() {
                     let factor = if i == idx { 2.0 * s * x } else { s * x };
-                    o.prods_cats[tri_index(dim, i, idx)].add_scaled(&a.sums_cats[i], factor);
+                    update_cat(&mut o.cats, prod_id(dim, i, idx), |q| {
+                        q.add_scaled(part, factor)
+                    });
                 }
                 o.prods_scalar.add_at(idx, idx, s * x * x * a.count);
             }
@@ -512,7 +631,7 @@ impl GenCofactor {
     /// Sparse-lift fused accumulate, categorical:
     /// `self += (acc · lift_categorical(dim, idx, attr, value)) · scale`.
     /// The singleton key `(attr = value)` is built and hashed exactly once;
-    /// for a scalar `acc` the whole accumulation is two table upserts.
+    /// for a scalar `acc` the whole accumulation is two relation upserts.
     pub fn fma_lift_categorical(
         &mut self,
         acc: &GenCofactor,
@@ -536,8 +655,12 @@ impl GenCofactor {
                 let o = self.promote_to_elem(dim);
                 let sc = s * c;
                 o.count += sc;
-                o.sums_cats[idx].add_entry_prehashed(hash, &key, sc);
-                o.prods_cats[tri_index(dim, idx, idx)].add_entry_prehashed(hash, &key, sc);
+                update_cat(&mut o.cats, idx as u32, |r| {
+                    r.add_entry_prehashed(hash, &key, sc)
+                });
+                update_cat(&mut o.cats, prod_id(dim, idx, idx), |r| {
+                    r.add_entry_prehashed(hash, &key, sc)
+                });
             }
             GenCofactor::Elem(a) => {
                 assert_eq!(a.dim(), dim, "generalized cofactor dimension mismatch");
@@ -546,34 +669,36 @@ impl GenCofactor {
                 for (dst, &src) in o.sums_scalar.iter_mut().zip(&a.sums_scalar) {
                     *dst += s * src;
                 }
-                for (dst, src) in o.sums_cats.iter_mut().zip(&a.sums_cats) {
-                    dst.add_scaled(src, s);
-                }
                 o.prods_scalar.add_scaled(&a.prods_scalar, s);
-                for (dst, src) in o.prods_cats.iter_mut().zip(&a.prods_cats) {
-                    dst.add_scaled(src, s);
-                }
+                add_cats_scaled(&mut o.cats, &a.cats, s);
                 // s_idx = SUM(1) GROUP BY attr over the joined tuples.
-                o.sums_cats[idx].add_entry_prehashed(hash, &key, s * a.count);
+                update_cat(&mut o.cats, idx as u32, |r| {
+                    r.add_entry_prehashed(hash, &key, s * a.count)
+                });
                 // Cross terms: acc.s[i] ⋈ {attr = value}, row and column of
                 // idx; (idx, idx) receives both symmetric halves.  The
                 // accumulator's empty-key mass joins the singleton to a
-                // singleton, so every contribution lands in cats.
+                // singleton, so every contribution lands in cats; an `i`
+                // where `acc` holds no mass contributes nothing.
                 for i in 0..dim {
                     let scalar_i = a.sums_scalar[i];
-                    let q = &mut o.prods_cats[tri_index(dim, i, idx)];
-                    if scalar_i != 0.0 {
-                        q.add_entry_prehashed(hash, &key, s * scalar_i);
+                    let part = a.cat(i as u32);
+                    if scalar_i == 0.0 && part.is_empty() {
+                        continue;
                     }
-                    q.fma_indicator(&a.sums_cats[i], attr as u32, value, s);
-                    if i == idx {
-                        if scalar_i != 0.0 {
-                            q.add_entry_prehashed(hash, &key, s * scalar_i);
+                    let halves = if i == idx { 2 } else { 1 };
+                    update_cat(&mut o.cats, prod_id(dim, i, idx), |q| {
+                        for _ in 0..halves {
+                            if scalar_i != 0.0 {
+                                q.add_entry_prehashed(hash, &key, s * scalar_i);
+                            }
+                            q.fma_indicator(part, attr as u32, value, s);
                         }
-                        q.fma_indicator(&a.sums_cats[i], attr as u32, value, s);
-                    }
+                    });
                 }
-                o.prods_cats[tri_index(dim, idx, idx)].add_entry_prehashed(hash, &key, s * a.count);
+                update_cat(&mut o.cats, prod_id(dim, idx, idx), |q| {
+                    q.add_entry_prehashed(hash, &key, s * a.count)
+                });
             }
         }
     }
@@ -595,7 +720,7 @@ impl GenCofactor {
     ) {
         debug_assert_eq!(evs.len(), ws.len());
         let o = self.promote_to_elem(dim);
-        let diag = tri_index(dim, idx, idx);
+        let diag = prod_id(dim, idx, idx);
         for (&ev, &w) in evs.iter().zip(ws) {
             if w == 0.0 {
                 continue;
@@ -603,8 +728,10 @@ impl GenCofactor {
             let key = RelKey::singleton(attr as u32, ev);
             let hash = key.fx_hash();
             o.count += w;
-            o.sums_cats[idx].add_entry_prehashed(hash, &key, w);
-            o.prods_cats[diag].add_entry_prehashed(hash, &key, w);
+            update_cat(&mut o.cats, idx as u32, |r| {
+                r.add_entry_prehashed(hash, &key, w)
+            });
+            update_cat(&mut o.cats, diag, |r| r.add_entry_prehashed(hash, &key, w));
         }
     }
 
@@ -612,33 +739,26 @@ impl GenCofactor {
     pub fn table_rehashes(&self) -> u64 {
         match self {
             GenCofactor::Scalar(_) => 0,
-            GenCofactor::Elem(e) => e
-                .sums_cats
-                .iter()
-                .chain(e.prods_cats.iter())
-                .map(RelValue::table_rehashes)
-                .sum(),
+            GenCofactor::Elem(e) => e.cats.iter().map(|(_, r)| r.table_rehashes()).sum(),
         }
     }
 
     /// Heap bytes of this element's interior allocations: the dense scalar
-    /// buffers, the `sums`/`prods` vector buffers — which is where inline
-    /// one-entry relations live, at `size_of::<RelValue>()` per slot — plus
-    /// the boxed table of every component that holds one (see
-    /// [`RelValue::allocated_bytes`] for the accounting boundary).  Scalars
-    /// own nothing.
+    /// buffers, the component list at its capacity — which is where inline
+    /// one-entry relations live, at `size_of::<(u32, RelValue)>()` per
+    /// component — plus the vector or boxed table of every component that
+    /// holds one (see [`RelValue::allocated_bytes`] for the accounting
+    /// boundary).  Scalars own nothing.
     pub fn allocated_bytes(&self) -> usize {
         match self {
             GenCofactor::Scalar(_) => 0,
             GenCofactor::Elem(e) => {
                 e.sums_scalar.capacity() * std::mem::size_of::<f64>()
                     + e.prods_scalar.heap_bytes()
-                    + (e.sums_cats.capacity() + e.prods_cats.capacity())
-                        * std::mem::size_of::<RelValue>()
-                    + e.sums_cats
+                    + e.cats.capacity() * std::mem::size_of::<(u32, RelValue)>()
+                    + e.cats
                         .iter()
-                        .chain(e.prods_cats.iter())
-                        .map(RelValue::allocated_bytes)
+                        .map(|(_, r)| r.allocated_bytes())
                         .sum::<usize>()
             }
         }
@@ -661,8 +781,7 @@ impl Ring for GenCofactor {
                 e.count == 0.0
                     && e.sums_scalar.iter().all(|&x| x == 0.0)
                     && e.prods_scalar.is_zero()
-                    && e.sums_cats.iter().all(RelValue::is_zero)
-                    && e.prods_cats.iter().all(RelValue::is_zero)
+                    && e.cats.iter().all(|(_, r)| r.is_zero())
             }
         }
     }
@@ -690,12 +809,7 @@ impl Ring for GenCofactor {
                     *x += y;
                 }
                 a.prods_scalar.add_scaled(&b.prods_scalar, 1.0);
-                for (x, y) in a.sums_cats.iter_mut().zip(&b.sums_cats) {
-                    x.add_assign(y);
-                }
-                for (x, y) in a.prods_cats.iter_mut().zip(&b.prods_cats) {
-                    x.add_assign(y);
-                }
+                add_cats_scaled(&mut a.cats, &b.cats, 1.0);
             }
             (slot @ GenCofactor::Scalar(_), GenCofactor::Elem(b)) => {
                 let mut out = b.clone();
@@ -737,12 +851,7 @@ impl Ring for GenCofactor {
                     *dst += k * src;
                 }
                 o.prods_scalar.add_scaled(&e.prods_scalar, k);
-                for (dst, src) in o.sums_cats.iter_mut().zip(&e.sums_cats) {
-                    dst.add_scaled(src, k);
-                }
-                for (dst, src) in o.prods_cats.iter_mut().zip(&e.prods_cats) {
-                    dst.add_scaled(src, k);
-                }
+                add_cats_scaled(&mut o.cats, &e.cats, k);
             }
             (GenCofactor::Elem(ea), GenCofactor::Elem(eb)) => {
                 assert_eq!(
@@ -768,11 +877,11 @@ impl Ring for GenCofactor {
                 o.prods_scalar.add_scaled(&eb.prods_scalar, kb);
                 o.prods_scalar
                     .add_symmetric_outer_scaled(&ea.sums_scalar, &eb.sums_scalar, s);
-                // Categorical half.
-                for i in 0..dim {
-                    o.sums_cats[i].add_scaled(&ea.sums_cats[i], ka);
-                    o.sums_cats[i].add_scaled(&eb.sums_cats[i], kb);
-                }
+                // Categorical half: the scaled copies of both operands'
+                // components (every component receives `ka·a` before
+                // `kb·b`, then its cross terms, as a dense walk would).
+                add_cats_scaled(&mut o.cats, &ea.cats, ka);
+                add_cats_scaled(&mut o.cats, &eb.cats, kb);
                 // The cross terms of pair (i, j) are
                 //   s·(s_a[i] ⋈ s_b[j]) + s·(s_b[i] ⋈ s_a[j]),
                 // with the scalar×scalar parts already in `prods_scalar`
@@ -786,20 +895,25 @@ impl Ring for GenCofactor {
                 let (sa, sb) = (Support::of(ea), Support::of(eb));
                 for i in 0..dim {
                     for j in i..dim {
-                        let t = tri_index(dim, i, j);
-                        let q = &mut o.prods_cats[t];
-                        q.add_scaled(&ea.prods_cats[t], ka);
-                        q.add_scaled(&eb.prods_cats[t], kb);
-                        if sa.any(i) && sb.any(j) && (sa.cat(i) || sb.cat(j)) {
-                            q.add_scaled(&eb.sums_cats[j], s * ea.sums_scalar[i]);
-                            q.add_scaled(&ea.sums_cats[i], s * eb.sums_scalar[j]);
-                            q.add_product_scaled(&ea.sums_cats[i], &eb.sums_cats[j], s);
+                        let ab = sa.any(i) && sb.any(j) && (sa.cat(i) || sb.cat(j));
+                        let ba = sb.any(i) && sa.any(j) && (sb.cat(i) || sa.cat(j));
+                        if !(ab || ba) {
+                            continue;
                         }
-                        if sb.any(i) && sa.any(j) && (sb.cat(i) || sa.cat(j)) {
-                            q.add_scaled(&ea.sums_cats[j], s * eb.sums_scalar[i]);
-                            q.add_scaled(&eb.sums_cats[i], s * ea.sums_scalar[j]);
-                            q.add_product_scaled(&eb.sums_cats[i], &ea.sums_cats[j], s);
-                        }
+                        update_cat(&mut o.cats, prod_id(dim, i, j), |q| {
+                            if ab {
+                                let (ai, bj) = (ea.cat(i as u32), eb.cat(j as u32));
+                                q.add_scaled(bj, s * ea.sums_scalar[i]);
+                                q.add_scaled(ai, s * eb.sums_scalar[j]);
+                                q.add_product_scaled(ai, bj, s);
+                            }
+                            if ba {
+                                let (bi, aj) = (eb.cat(i as u32), ea.cat(j as u32));
+                                q.add_scaled(aj, s * eb.sums_scalar[i]);
+                                q.add_scaled(bi, s * ea.sums_scalar[j]);
+                                q.add_product_scaled(bi, aj, s);
+                            }
+                        });
                     }
                 }
             }
@@ -820,11 +934,8 @@ impl Ring for GenCofactor {
                         o.count = 0.0;
                         o.sums_scalar.fill(0.0);
                         o.prods_scalar.clear();
-                        for s in &mut o.sums_cats {
-                            s.clear();
-                        }
-                        for q in &mut o.prods_cats {
-                            q.clear();
+                        for (_, r) in &mut o.cats {
+                            r.clear();
                         }
                     }
                     _ => *out = GenCofactor::Elem(GenCofactorElem::zeros(dim)),
@@ -849,12 +960,14 @@ impl Ring for GenCofactor {
                 e.count = 0.0;
                 e.sums_scalar.fill(0.0);
                 e.prods_scalar.fill_zero();
-                for s in &mut e.sums_cats {
-                    s.reset_zero();
-                }
-                for q in &mut e.prods_cats {
-                    q.reset_zero();
-                }
+                // Pool hygiene per component: keep (cleared) the ones whose
+                // vector or table `RelValue::reset_zero` keeps — within its
+                // byte budget — and unlist the rest, which have nothing
+                // left to reuse.
+                e.cats.retain_mut(|(_, r)| {
+                    r.reset_zero();
+                    r.allocated_bytes() > 0
+                });
             }
         }
     }
@@ -870,16 +983,7 @@ impl Ring for GenCofactor {
                 count: e.count,
                 sums_scalar: e.sums_scalar.clone(),
                 prods_scalar: e.prods_scalar.clone(),
-                sums_cats: e
-                    .sums_cats
-                    .iter()
-                    .map(|r| r.rekey_dicts(src, dst))
-                    .collect(),
-                prods_cats: e
-                    .prods_cats
-                    .iter()
-                    .map(|r| r.rekey_dicts(src, dst))
-                    .collect(),
+                cats: rebuild_cats(&e.cats, |r| r.rekey_dicts(src, dst)),
             }),
         }
     }
@@ -914,16 +1018,38 @@ impl ApproxEq for GenCofactor {
                         .zip(&b.sums_scalar)
                         .all(|(x, y)| approx_f64(*x, *y, tol))
                     && a.prods_scalar.approx_eq(&b.prods_scalar, tol)
-                    && a.sums_cats
-                        .iter()
-                        .zip(&b.sums_cats)
-                        .all(|(x, y)| x.approx_eq(y, tol))
-                    && a.prods_cats
-                        .iter()
-                        .zip(&b.prods_cats)
-                        .all(|(x, y)| x.approx_eq(y, tol))
+                    // A component listed on one side only is compared with
+                    // the other side's empty relation.
+                    && a.cats.iter().all(|(id, r)| r.approx_eq(b.cat(*id), tol))
+                    && b.cats.iter().all(|(id, r)| r.approx_eq(a.cat(*id), tol))
             }
         }
+    }
+}
+
+impl Clone for GenCofactorElem {
+    /// Clones are right-sized: components that hold no mass are not copied,
+    /// and the list and each relation are rebuilt at their length — so a
+    /// view payload cloned from a pooled scratch delta carries neither its
+    /// retained empty components nor their capacity.
+    fn clone(&self) -> Self {
+        GenCofactorElem {
+            count: self.count,
+            sums_scalar: self.sums_scalar.clone(),
+            prods_scalar: self.prods_scalar.clone(),
+            cats: rebuild_cats(&self.cats, RelValue::clone),
+        }
+    }
+}
+
+impl PartialEq for GenCofactorElem {
+    /// Equality of the aggregates: components listed but empty read as
+    /// absent.
+    fn eq(&self, other: &Self) -> bool {
+        self.count == other.count
+            && self.sums_scalar == other.sums_scalar
+            && self.prods_scalar == other.prods_scalar
+            && live(&self.cats).eq(live(&other.cats))
     }
 }
 
@@ -1147,6 +1273,29 @@ mod tests {
             .collect();
         let rebuilt = GenCofactorElem::from_composed(e.count, sums, prods);
         assert_eq!(&rebuilt, e);
+    }
+
+    /// An accumulation lists a component only when it leaves mass in it: a
+    /// join that filters every key out (a category lifted against another
+    /// value of the same attribute tag) and a zero continuous value add
+    /// nothing, so they list nothing.
+    #[test]
+    fn accumulations_list_only_components_they_leave_mass_in() {
+        let dim = 3;
+        let acc = GenCofactor::lift_categorical(dim, 0, 0, ev(1));
+        let mut out = GenCofactor::zero();
+        // Q_01 = s_0 ⋈ {tag 0 = 2}: the shared tag disagrees.
+        out.fma_lift_categorical(&acc, dim, 1, 0, ev(2), 1);
+        // Q_02 = 0 · s_0.
+        out.fma_lift_continuous(&acc, dim, 2, 0.0, 1);
+        let GenCofactor::Elem(e) = &out else {
+            panic!("dense element expected");
+        };
+        let listed: Vec<u32> = e.cats.iter().map(|(id, _)| *id).collect();
+        // s_0 and Q_00 from the accumulator, s_1 and Q_11 from the lift.
+        assert_eq!(listed, [0, 1, prod_id(dim, 0, 0), prod_id(dim, 1, 1)]);
+        assert!(e.cats.iter().all(|(_, r)| !r.is_empty()));
+        assert!(e.prod_cats(0, 1).is_empty() && e.prod_cats(0, 2).is_empty());
     }
 
     #[test]

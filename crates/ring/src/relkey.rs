@@ -27,7 +27,7 @@ use fivm_common::{Dict, EncodedValue, Value};
 use std::fmt;
 
 /// Pairs a meta word can address inline.
-const INLINE_PAIRS: usize = 2;
+pub(crate) const INLINE_PAIRS: usize = 2;
 
 /// Key storage (see the module docs).  The two layouts never collide:
 /// the representation is a function of the pair count.

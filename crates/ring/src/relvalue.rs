@@ -9,28 +9,36 @@
 //! without threading schemas through ring operations: shared attributes must
 //! match, the remaining attributes are concatenated in attribute order.
 //!
-//! # Storage: inline singleton, hash-once table
+//! # Storage: inline singleton, small vector, hash-once table
 //!
 //! Most relations the engine ever holds have **one** entry: a single joined
 //! tuple contributes one key to every categorical component of a
 //! generalized-cofactor payload, and fact-grain views keep one tuple per
-//! view key.  The interior therefore has three shapes, chosen by the number
-//! of distinct keys and by nothing else:
+//! view key.  Most of the rest have a handful.  The interior therefore has
+//! four shapes, chosen by the number of distinct keys and by nothing else:
 //!
 //! * `Empty` — the zero relation;
 //! * `One(hash, key, weight)` — a one-entry relation stored **inline** in
 //!   the value itself: no heap, and the key's hash is kept beside it so the
-//!   entry can move into a table, another relation or a snapshot without
-//!   being hashed again;
+//!   entry can move into a vector, a table, another relation or a snapshot
+//!   without being hashed again;
+//! * `Small` — one vector of `(hash, key, weight)` entries in arrival
+//!   order, from 2 entries up to `SMALL_MAX_BYTES` of them (eight 48-byte
+//!   entries): one allocation, searched linearly with the stored
+//!   hash compared first — at this size the scan needs no probe structure,
+//!   so the table's box, control bytes and hash array go;
 //! * `Table` — a boxed [`RawTable`] keyed by [`RelKey`], the same
 //!   dictionary-encoded flat-word keys and caller-hashed open addressing
 //!   the view layer uses (ROADMAP "hash-once" contract).
 //!
-//! The second distinct key promotes `One` to `Table`.  A table never
-//! demotes in place — one that cancels down to a single entry, or to none,
-//! stays a table, so a pooled delta payload keeps its buffers — but every
-//! *rebuild* ([`Clone`], [`RelValue::from_hashed_entries`], scaling,
-//! rekeying) sizes by `len` and so picks the inline shapes again.  The
+//! The second distinct key promotes `One` to `Small`; the first key past
+//! the byte budget moves a full `Small` into a `Table`, re-bucketed from
+//! the stored hashes.  Neither demotes in place — a vector or table that
+//! cancels down to a single entry, or to none, keeps its shape, so a pooled
+//! delta payload keeps its buffers — but every *rebuild* ([`Clone`],
+//! [`RelValue::from_hashed_entries`], scaling, rekeying) sizes by `len` and
+//! so picks the smallest shape again.  Removal from `Small` shifts the
+//! later entries down, so its entries always read in arrival order.  The
 //! shape is unobservable through the ring API: `is_zero`, equality,
 //! iteration contents and the bits of every weight are those of the
 //! relation, whatever holds it.
@@ -46,9 +54,10 @@
 //!   compares with no `Arc` traffic;
 //! * exact cancellation removes the key immediately, keeping
 //!   [`Ring::is_zero`] exact as the in-place contract requires.  In a
-//!   table the freed slot goes back to `EMPTY` under the swiss-table
-//!   deletion rule (see [`fivm_common::table`]), so cancel-and-refill
-//!   churn of small relations never triggers a compaction rehash.
+//!   vector the later entries shift down; in a table the freed slot goes
+//!   back to `EMPTY` under the swiss-table deletion rule (see
+//!   [`fivm_common::table`]), so cancel-and-refill churn never triggers a
+//!   compaction rehash.
 //!
 //! `RelValue` is used in two places:
 //!
@@ -63,7 +72,7 @@
 //! `BoxedRelValue` in `crates/ring/tests/support/boxed.rs`, the reference
 //! implementation of the differential suite (`relvalue_differential.rs`).
 
-use crate::relkey::RelKey;
+use crate::relkey::{RelKey, INLINE_PAIRS};
 use crate::ring::{approx_f64, ApproxEq, Ring};
 use fivm_common::table::IterHashed;
 use fivm_common::{Dict, EncodedValue, Probe, RawTable, Value, VarId};
@@ -90,10 +99,25 @@ pub type DecodedRelEntry = (Box<[(u32, Value)]>, f64);
 /// `reset_zero_pools_by_bytes` below.
 const POOL_KEEP_BYTES: usize = 8 * 1024;
 
+/// Largest `Small` interior, in **bytes** of its entry vector
+/// ([`RelValue::allocated_bytes`]); a relation whose entries would need
+/// more lives in a table.  384 B is eight 48-byte `(hash, RelKey, f64)`
+/// entries — a short scan of stored hashes, in one allocation where a
+/// table makes four.  A byte budget, like every threshold of the
+/// memory contract, so it survives a change of entry size.
+const SMALL_MAX_BYTES: usize = 384;
+
+/// One stored entry: `(stored hash, key, weight)`.
+type Entry = (u64, RelKey, f64);
+
+/// Most entries a `Small` interior may hold — derived from
+/// [`SMALL_MAX_BYTES`], never set on its own.
+const SMALL_MAX_LEN: usize = SMALL_MAX_BYTES / std::mem::size_of::<Entry>();
+
 /// The table shape of a relation's interior.
 type Table = RawTable<RelKey, f64>;
 
-/// The interior of a [`RelValue`]; see the module docs for the three
+/// The interior of a [`RelValue`]; see the module docs for the four
 /// shapes and when each is chosen.
 #[derive(Debug, Default)]
 enum Repr {
@@ -103,6 +127,9 @@ enum Repr {
     /// Exactly one entry, `(stored hash, key, weight)`, held inline.  The
     /// weight is never `0.0` (cancellation turns the value `Empty`).
     One(u64, RelKey, f64),
+    /// Up to [`SMALL_MAX_LEN`] entries in arrival order, in a vector whose
+    /// capacity never exceeds that (a vector that shrank stays a vector).
+    Small(Vec<Entry>),
     /// Any number of entries (a table that shrank stays a table).
     Table(Box<Table>),
 }
@@ -113,16 +140,16 @@ pub struct RelValue {
     repr: Repr,
 }
 
-// A `GenCofactor` payload is a vector of these and most of them hold one
-// entry or none, so the inline shape must stay within the header a boxed
-// table used to cost (72 bytes before the inline singleton); growing the
-// key or the entry must revisit the `One` variant first.
+// A `GenCofactor` payload's component list is a vector of these and most
+// of them hold one entry, so the inline shape must stay within the header a
+// boxed table used to cost (72 bytes before the inline singleton); growing
+// the key or the entry must revisit the `One` variant first.
 const _: () = assert!(std::mem::size_of::<RelValue>() <= 56);
 
 impl Clone for RelValue {
     /// Clones are **right-sized**: the copy is rebuilt in the shape its
-    /// entries need (inline for at most one entry, else a table of `len`
-    /// capacity filled from stored hashes — nothing is re-hashed), so
+    /// entries need (inline for at most one entry, else a vector or table of
+    /// `len` capacity filled from stored hashes — nothing is re-hashed), so
     /// materialized copies — view payloads cloned from scratch deltas,
     /// result snapshots — never inherit the working capacity of the buffer
     /// they were accumulated in.
@@ -132,9 +159,9 @@ impl Clone for RelValue {
             Repr::One(h, k, w) => RelValue {
                 repr: Repr::One(*h, k.clone(), *w),
             },
-            Repr::Table(t) => {
-                let mut out = RelValue::sized_for(t.len());
-                for (h, k, &w) in t.iter_hashed() {
+            Repr::Small(_) | Repr::Table(_) => {
+                let mut out = RelValue::sized_for(self.len());
+                for (h, k, w) in self.iter_hashed() {
                     out.insert_new(h, k.clone(), w);
                 }
                 out
@@ -150,6 +177,7 @@ pub struct HashedEntries<'a>(EntriesRepr<'a>);
 enum EntriesRepr<'a> {
     /// The inline shapes: at most one entry left to yield.
     Inline(Option<(u64, &'a RelKey, f64)>),
+    Small(std::slice::Iter<'a, Entry>),
     Table(IterHashed<'a, RelKey, f64>),
 }
 
@@ -160,28 +188,33 @@ impl<'a> Iterator for HashedEntries<'a> {
     fn next(&mut self) -> Option<Self::Item> {
         match &mut self.0 {
             EntriesRepr::Inline(entry) => entry.take(),
+            EntriesRepr::Small(it) => it.next().map(|(h, k, w)| (*h, k, *w)),
             EntriesRepr::Table(it) => it.next().map(|(h, k, &w)| (h, k, w)),
         }
     }
 }
 
 impl RelValue {
-    /// The empty relation (ring zero).  Allocation-free.
-    pub fn empty() -> Self {
-        RelValue::default()
+    /// The empty relation (ring zero).  Allocation-free, and usable in a
+    /// `static` (the generalized cofactor ring hands out one for every
+    /// component it does not store).
+    pub const fn empty() -> Self {
+        RelValue { repr: Repr::Empty }
     }
 
     /// An empty relation right-sized for `len` distinct keys to be stored
     /// with [`RelValue::insert_new`]: nothing up front for the inline
-    /// shapes, a table that takes `len` inserts without growing otherwise.
+    /// shapes, a vector or table that takes `len` inserts without growing
+    /// otherwise.
     fn sized_for(len: usize) -> Self {
-        if len <= 1 {
-            RelValue::empty()
+        let repr = if len <= 1 {
+            Repr::Empty
+        } else if len <= SMALL_MAX_LEN {
+            Repr::Small(Vec::with_capacity(len))
         } else {
-            RelValue {
-                repr: Repr::Table(Box::new(RawTable::with_capacity(len))),
-            }
-        }
+            Repr::Table(Box::new(RawTable::with_capacity(len)))
+        };
+        RelValue { repr }
     }
 
     /// The relation `{() -> w}` over the empty schema.  `scalar(0.0)` is the
@@ -224,6 +257,7 @@ impl RelValue {
         match &self.repr {
             Repr::Empty => 0,
             Repr::One(..) => 1,
+            Repr::Small(v) => v.len(),
             Repr::Table(t) => t.len(),
         }
     }
@@ -252,6 +286,10 @@ impl RelValue {
                 self.repr = Repr::Empty;
                 w
             }
+            Repr::Small(v) => match small_position(v, hash, &key) {
+                Some(i) => v.remove(i).2,
+                None => 0.0,
+            },
             Repr::Table(t) => t.remove(hash, &key).unwrap_or(0.0),
             Repr::Empty | Repr::One(..) => 0.0,
         }
@@ -263,6 +301,7 @@ impl RelValue {
         match &self.repr {
             Repr::Empty => None,
             Repr::One(h, k, w) => (*h == hash && k == key).then_some(*w),
+            Repr::Small(v) => small_position(v, hash, key).map(|i| v[i].2),
             Repr::Table(t) => t.get(hash, key).copied(),
         }
     }
@@ -273,9 +312,18 @@ impl RelValue {
     }
 
     /// Weight of the key given as (unsorted) encoded pairs, or 0 if absent.
+    /// Keys of up to `INLINE_PAIRS` pairs — every COVAR/MI key — are sorted
+    /// in a stack copy, so a lookup allocates nothing.
     pub fn get(&self, pairs: &[(u32, EncodedValue)]) -> f64 {
-        let mut pairs = pairs.to_vec();
-        self.get_key(&RelKey::from_pairs(&mut pairs))
+        if pairs.len() <= INLINE_PAIRS {
+            let mut stack = [(0u32, EncodedValue::NULL); INLINE_PAIRS];
+            let stack = &mut stack[..pairs.len()];
+            stack.copy_from_slice(pairs);
+            self.get_key(&RelKey::from_pairs(stack))
+        } else {
+            let mut pairs = pairs.to_vec();
+            self.get_key(&RelKey::from_pairs(&mut pairs))
+        }
     }
 
     /// Weight of a `Value`-level key (output boundary: encodes through the
@@ -306,6 +354,7 @@ impl RelValue {
         HashedEntries(match &self.repr {
             Repr::Empty => EntriesRepr::Inline(None),
             Repr::One(h, k, w) => EntriesRepr::Inline(Some((*h, k, *w))),
+            Repr::Small(v) => EntriesRepr::Small(v.iter()),
             Repr::Table(t) => EntriesRepr::Table(t.iter_hashed()),
         })
     }
@@ -347,50 +396,80 @@ impl RelValue {
     }
 
     /// Rehash (growth/compaction) events of the interior table (0 for the
-    /// inline shapes, which have none); the ring half of the steady-state
+    /// other shapes, which have none); the ring half of the steady-state
     /// "rehashes pinned to 0" contract.
     pub fn table_rehashes(&self) -> u64 {
         match &self.repr {
             Repr::Table(t) => t.rehashes(),
-            Repr::Empty | Repr::One(..) => 0,
+            Repr::Empty | Repr::One(..) | Repr::Small(_) => 0,
         }
     }
 
-    /// Heap bytes this relation owns: the boxed table header plus the
-    /// table's arrays (control bytes, stored hashes, `(RelKey, f64)`
-    /// slots), and **0** for the inline shapes — their bytes are the
-    /// `size_of::<RelValue>()` the holder already accounts for (a
-    /// `GenCofactor` counts `capacity × size_of::<RelValue>()` for its
-    /// component vectors).  Boxes spilled by wide (≥ 3-pair) keys are *not*
+    /// Heap bytes this relation owns: the `Small` entry vector at its
+    /// capacity, or the boxed table header plus the table's arrays (control
+    /// bytes, stored hashes, `(RelKey, f64)` slots), and **0** for the
+    /// inline shapes — their bytes are the `size_of::<RelValue>()` the
+    /// holder already accounts for (a `GenCofactor` counts its component
+    /// list at capacity).  Boxes spilled by wide (≥ 3-pair) keys are *not*
     /// counted — they are owned by the keys, and every key of the COVAR/MI
     /// workloads is slot-inline (see `crate::relkey`).  This is the
     /// `RelValue` leaf of the engine-wide byte rollup (`Ring::payload_bytes`
     /// → `MaterializedView::table_bytes` → `EngineStats::table_bytes`).
     pub fn allocated_bytes(&self) -> usize {
         match &self.repr {
+            Repr::Small(v) => v.capacity() * std::mem::size_of::<Entry>(),
             Repr::Table(t) => std::mem::size_of::<Table>() + t.allocated_bytes(),
             Repr::Empty | Repr::One(..) => 0,
         }
     }
 
-    /// Stores an entry whose key is known to be absent — the rebuild paths
-    /// (clone, restore, scaling, rekeying), which copy distinct keys.
+    /// Stores an entry whose key is known to be absent — a confirmed upsert
+    /// miss, or the rebuild paths (clone, restore, scaling, rekeying), which
+    /// copy distinct keys.  A vector grows by doubling up to the byte
+    /// budget and spills into a table past it.
     fn insert_new(&mut self, hash: u64, key: RelKey, w: f64) {
         match &mut self.repr {
             Repr::Empty => self.repr = Repr::One(hash, key, w),
             Repr::One(..) => self.promote(hash, key, w),
+            Repr::Small(v) if v.len() < SMALL_MAX_LEN => {
+                if v.len() == v.capacity() {
+                    let grown = (2 * v.len()).min(SMALL_MAX_LEN);
+                    v.reserve_exact(grown - v.len());
+                }
+                v.push((hash, key, w));
+            }
+            Repr::Small(_) => self.spill(hash, key, w),
             Repr::Table(t) => t.insert(hash, key, w),
         }
     }
 
     /// The second distinct key: moves the inline entry and the new one into
-    /// a fresh table (both under their stored hashes).
+    /// a vector (one allocation; both keep their stored hashes).  The vector
+    /// has room for four: a relation that gains keys in place is an
+    /// accumulator and usually keeps gaining them (on the Favorita churn of
+    /// `profile_hotpath --favorita`, room for two cost 1.7 more allocations
+    /// per updated row under gen-COVAR, 2.2 under MI), while every copy of
+    /// it is rebuilt at its length anyway.
     fn promote(&mut self, hash: u64, key: RelKey, w: f64) {
         let Repr::One(h0, k0, w0) = std::mem::take(&mut self.repr) else {
             unreachable!("only the inline singleton promotes");
         };
-        let mut table = RawTable::with_capacity(2);
-        table.insert(h0, k0, w0);
+        let mut v = Vec::with_capacity(4);
+        v.push((h0, k0, w0));
+        v.push((hash, key, w));
+        self.repr = Repr::Small(v);
+    }
+
+    /// The first key past the byte budget: moves a full vector and the new
+    /// entry into a table sized for them, bucketed by the stored hashes.
+    fn spill(&mut self, hash: u64, key: RelKey, w: f64) {
+        let Repr::Small(v) = std::mem::take(&mut self.repr) else {
+            unreachable!("only a full vector spills");
+        };
+        let mut table = RawTable::with_capacity(v.len() + 1);
+        for (h, k, x) in v {
+            table.insert(h, k, x);
+        }
         table.insert(hash, key, w);
         self.repr = Repr::Table(Box::new(table));
     }
@@ -422,6 +501,16 @@ impl RelValue {
                     self.promote(hash, key.into_owned(), w);
                 }
             }
+            Repr::Small(v) => match small_position(v, hash, &key) {
+                Some(i) => {
+                    let slot = &mut v[i].2;
+                    *slot += w;
+                    if *slot == 0.0 {
+                        v.remove(i);
+                    }
+                }
+                None => self.insert_new(hash, key.into_owned(), w),
+            },
             Repr::Table(t) => {
                 if let Some(idx) = t.find_idx(hash, |k, _| *k == *key) {
                     let slot = t.value_at_mut(idx);
@@ -452,9 +541,10 @@ impl RelValue {
         self.upsert(hash, Cow::Borrowed(key), w);
     }
 
-    /// Removes every entry; a table keeps its allocation.
+    /// Removes every entry; a vector or table keeps its allocation.
     pub fn clear(&mut self) {
         match &mut self.repr {
+            Repr::Small(v) => v.clear(),
             Repr::Table(t) => t.clear(),
             Repr::Empty | Repr::One(..) => self.repr = Repr::Empty,
         }
@@ -558,9 +648,16 @@ impl RelValue {
     }
 }
 
+/// Position of `key` in a `Small` interior: a linear scan comparing the
+/// stored hash first, so the key words are read only on a hash match.
+#[inline]
+fn small_position(v: &[Entry], hash: u64, key: &RelKey) -> Option<usize> {
+    v.iter().position(|(h, k, _)| *h == hash && k == key)
+}
+
 impl PartialEq for RelValue {
     /// Equality of relations, whatever shape holds them: an inline
-    /// singleton equals a one-entry table with the same entry.
+    /// singleton equals a one-entry vector or table with the same entry.
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len()
             && self
@@ -624,7 +721,8 @@ impl Ring for RelValue {
         // recycled payload may serve a tiny delta next, and iterating or
         // cloning it must not drag a root-sized capacity along.  The
         // threshold is a byte budget on the table allocation (see
-        // [`POOL_KEEP_BYTES`]); the inline shapes own nothing to keep.
+        // [`POOL_KEEP_BYTES`]); a `Small` vector always fits it, and the
+        // inline shapes own nothing to keep.
         if self.allocated_bytes() > POOL_KEEP_BYTES {
             self.repr = Repr::Empty;
         } else {
@@ -888,19 +986,33 @@ mod tests {
         // The inline shapes own no heap: their bytes are the value itself.
         assert_eq!(RelValue::empty().allocated_bytes(), 0);
         assert_eq!(RelValue::scalar(1.0).allocated_bytes(), 0);
-        // The second key moves both entries into a boxed table, whose
+        // The second key moves both entries into a vector with room for
+        // four; past the byte budget they live in a boxed table, whose
         // header is counted with its arrays.
         let small = with_keys(2).allocated_bytes();
-        assert!(small > std::mem::size_of::<Table>());
+        assert_eq!(small, 4 * std::mem::size_of::<Entry>());
+        assert!(with_keys(SMALL_MAX_LEN + 1).allocated_bytes() > std::mem::size_of::<Table>());
         let many = with_keys(1000);
         assert!(many.allocated_bytes() > small * 100);
         // Right-sized clones never exceed the source's footprint.
         assert!(many.clone().allocated_bytes() <= many.allocated_bytes());
     }
 
+    /// The keys of a relation, in iteration order.
+    fn keys_of(r: &RelValue) -> Vec<i64> {
+        r.iter().map(|(k, _)| k.value(0).word as i64).collect()
+    }
+
     #[test]
     fn shape_follows_the_number_of_distinct_keys() {
         let k = |i: i64| RelKey::singleton(0, ev(i));
+        let small_len = |r: &RelValue| match &r.repr {
+            Repr::Small(v) => Some((v.len(), v.capacity())),
+            _ => None,
+        };
+        let top = SMALL_MAX_LEN as i64;
+        assert_eq!(SMALL_MAX_LEN, 8, "384 B holds eight 48-byte entries");
+
         let mut r = RelValue::empty();
         assert!(matches!(r.repr, Repr::Empty));
         r.add_entry(&k(1), 2.0);
@@ -909,18 +1021,45 @@ mod tests {
         // Exact cancellation of the inline entry is the zero relation.
         r.add_entry(&k(1), -3.0);
         assert!(matches!(r.repr, Repr::Empty) && r.is_zero());
-        // The second distinct key promotes; a table never demotes in place…
+        // The second distinct key promotes to a vector with room for four,
+        // which doubles up to the byte budget and never past it…
         r.add_entry(&k(1), 1.0);
         r.add_entry(&k(2), 1.0);
-        assert!(matches!(r.repr, Repr::Table(_)));
-        r.add_entry(&k(2), -1.0);
+        assert_eq!(small_len(&r), Some((2, 4)));
+        for i in 3..=top {
+            r.add_entry(&k(i), 1.0);
+            let (len, cap) = small_len(&r).expect("still a vector");
+            assert_eq!(len, i as usize);
+            assert!(cap <= SMALL_MAX_LEN, "vector grew past the budget: {cap}");
+        }
+        assert_eq!(r.allocated_bytes(), SMALL_MAX_BYTES);
+        // …where one more key spills into a table, every entry kept.
+        r.add_entry(&k(top + 1), 1.0);
+        assert!(matches!(r.repr, Repr::Table(_)) && r.len() == SMALL_MAX_LEN + 1);
+        assert_eq!(r.get_key(&k(top)), 1.0);
+        // A table never demotes in place…
+        for i in 2..=top + 1 {
+            r.add_entry(&k(i), -1.0);
+        }
         assert!(matches!(r.repr, Repr::Table(_)) && r.len() == 1);
         // …but equals the inline relation with the same entry, and every
-        // rebuild picks the inline shape again.
+        // rebuild picks its shape by `len`.
         assert_eq!(r, RelValue::weighted(0, ev(1), 1.0));
         assert!(matches!(r.clone().repr, Repr::One(..)));
         assert!(matches!(r.neg().repr, Repr::One(..)));
-        r.add_entry(&k(1), -1.0);
+        r.add_entry(&k(2), 1.0);
+        r.add_entry(&k(3), 1.0);
+        assert_eq!(small_len(&r.clone()), Some((3, 3)));
+        assert_eq!(small_len(&r.scale_int(2)), Some((3, 3)));
+        let restored = RelValue::from_hashed_entries(
+            3,
+            r.iter_hashed().map(|(h, key, w)| (h, key.clone(), w)),
+        );
+        assert_eq!(small_len(&restored), Some((3, 3)));
+        assert_eq!(restored, r);
+        for i in 1..=3 {
+            r.add_entry(&k(i), -1.0);
+        }
         assert!(matches!(r.repr, Repr::Table(_)) && r.is_zero());
         assert!(matches!(r.clone().repr, Repr::Empty));
         // reset_zero keeps an in-budget table (cleared) and drops the
@@ -930,6 +1069,27 @@ mod tests {
         let mut one = RelValue::scalar(4.0);
         one.reset_zero();
         assert!(matches!(one.repr, Repr::Empty));
+
+        // A vector keeps arrival order through removals mid-vector, never
+        // demotes in place (down to one entry and to none), and is kept —
+        // cleared — by reset_zero.
+        let mut v = RelValue::empty();
+        for i in [5, 1, 4, 2, 3] {
+            v.add_entry(&k(i), 1.0);
+        }
+        v.add_entry(&k(4), -1.0);
+        assert_eq!(keys_of(&v), [5, 1, 2, 3]);
+        assert_eq!(v.take_scalar_part(), 0.0);
+        for i in [1, 3, 5] {
+            v.add_entry(&k(i), -1.0);
+        }
+        assert_eq!(small_len(&v), Some((1, 8)));
+        assert_eq!(v, RelValue::weighted(0, ev(2), 1.0));
+        v.add_entry(&k(7), 1.0);
+        assert_eq!(keys_of(&v), [2, 7]);
+        v.reset_zero();
+        assert_eq!(small_len(&v), Some((0, 8)));
+        assert!(v.is_zero() && v == RelValue::empty());
     }
 
     #[test]

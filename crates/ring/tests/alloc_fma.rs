@@ -8,7 +8,7 @@
 //! reintroduces temporaries on this path.
 
 use fivm_common::EncodedValue;
-use fivm_ring::{Cofactor, GenCofactor, RelValue, Ring};
+use fivm_ring::{Cofactor, GenCofactor, RelKey, RelValue, Ring};
 
 #[path = "../../common/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -111,22 +111,24 @@ fn gen_cofactor_singleton_lift_fma_does_not_allocate_when_warm() {
     );
 }
 
-/// A single tuple's categories are one-entry relations, and one-entry
-/// relations live inline: lifting a categorical value into a dense element
-/// whose components are empty — a fresh zero, or a payload the delta pool
-/// handed back after `reset_zero` — performs **no** allocation (each
-/// touched component used to build a three-allocation table), and so does
-/// cancelling it again and cloning the result.
+/// A single tuple's categories are one-entry relations, one-entry relations
+/// live inline, and a payload lists only the components that hold mass.
+/// Lifting a categorical value into a payload the delta pool handed back
+/// after `reset_zero` performs **no** allocation (the component list and
+/// the vectors of the components it kept are reused); into a never-used
+/// fresh zero exactly **one** — the component list itself.  Cancelling
+/// one-entry relations and cloning them allocates nothing, and a second
+/// distinct key is exactly one allocation (the two-entry vector).
 #[test]
-fn categorical_lift_into_zero_or_pooled_elem_does_not_allocate() {
+fn categorical_lift_into_pooled_elem_does_not_allocate_and_into_fresh_zero_once() {
     let dim = 6;
     let cat = |v: i64| EncodedValue::int(v);
     let one = GenCofactor::scalar(1.0);
-    // A fresh dense zero.
+    // A fresh dense zero: no component listed, no list allocated.
     let mut fresh = GenCofactor::lift_continuous(dim, 0, 1.0);
     fresh.reset_zero();
     // A pooled payload: held two joined tuples (so some components grew
-    // into tables, which `reset_zero` keeps cleared), then was reset.
+    // into vectors, which `reset_zero` keeps cleared), then was reset.
     let tuple = |a: i64, b: i64| {
         GenCofactor::lift_categorical(dim, 1, 1, cat(a))
             .mul(&GenCofactor::lift_categorical(dim, 2, 2, cat(b)))
@@ -137,10 +139,10 @@ fn categorical_lift_into_zero_or_pooled_elem_does_not_allocate() {
     assert!(fresh.is_zero() && pooled.is_zero());
     assert!(
         pooled.payload_bytes() > fresh.payload_bytes(),
-        "test premise: kept tables"
+        "test premise: kept vectors"
     );
 
-    for (name, slot) in [("zero", &mut fresh), ("pooled", &mut pooled)] {
+    for (name, slot, expected) in [("fresh zero", &mut fresh, 1), ("pooled", &mut pooled, 0)] {
         let bytes = slot.payload_bytes();
         let allocs = allocations_during(|| {
             for v in [3i64, 5, 3] {
@@ -151,18 +153,21 @@ fn categorical_lift_into_zero_or_pooled_elem_does_not_allocate() {
             slot.fma_lift_categorical(&one, dim, 2, 2, cat(4), 1);
         });
         assert_eq!(
-            allocs, 0,
+            allocs, expected,
             "categorical lift into a {name} Elem allocated {allocs} times"
         );
         assert_eq!(slot.count(), 1.0);
-        assert_eq!(
-            slot.payload_bytes(),
-            bytes,
-            "{name}: the lifts changed the footprint"
-        );
+        if expected == 0 {
+            assert_eq!(
+                slot.payload_bytes(),
+                bytes,
+                "{name}: the lifts changed the footprint"
+            );
+        }
     }
 
-    // The relation-level statement: one-entry relations never touch the heap.
+    // The relation-level statement: one-entry relations never touch the
+    // heap…
     let allocs = allocations_during(|| {
         let mut r = RelValue::weighted(2, cat(7), 2.0);
         r.add_scaled(&RelValue::weighted(2, cat(7), 1.0), -2.0);
@@ -175,6 +180,28 @@ fn categorical_lift_into_zero_or_pooled_elem_does_not_allocate() {
         std::hint::black_box(r.clone());
     });
     assert_eq!(allocs, 0, "one-entry relations allocated {allocs} times");
+    // …and the second distinct key is one allocation, not a table's four.
+    let mut r = RelValue::weighted(2, cat(7), 1.0);
+    let allocs = allocations_during(|| r.add_entry(&RelKey::singleton(2, cat(8)), 1.0));
+    assert_eq!(allocs, 1, "One -> Small promotion allocated {allocs} times");
+    assert_eq!(r.len(), 2);
+}
+
+/// Point lookups by encoded pairs sort a stack copy of the key: reading a
+/// COVAR/MI payload cell (one or two pairs) allocates nothing.
+#[test]
+fn relvalue_get_of_an_inline_width_key_does_not_allocate() {
+    let cat = |v: i64| EncodedValue::int(v);
+    let r = RelValue::weighted(1, cat(3), 2.0).mul(&RelValue::weighted(2, cat(4), 1.5));
+    let mut sum = 0.0;
+    let allocs = allocations_during(|| {
+        sum += r.get(&[(2, cat(4)), (1, cat(3))]);
+        sum += r.get(&[(1, cat(3)), (2, cat(4))]);
+        sum += r.get(&[(1, cat(3))]);
+        sum += r.get(&[]);
+    });
+    assert_eq!(allocs, 0, "RelValue::get allocated {allocs} times");
+    assert_eq!(sum, 6.0);
 }
 
 /// The batch-fused lift channel must be allocation-free once warm: a run

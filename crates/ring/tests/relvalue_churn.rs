@@ -4,8 +4,8 @@
 //! delete removes a tuple's categories from every component relation of its
 //! payload, the next insert puts them back.  With tombstoning deletes that
 //! was a table rebuild per cycle (`ring.rehashes_per_krow` ≈ 2,100 on the
-//! benchmark's `favorita-ring`); with the inline singleton and the
-//! swiss-table deletion rule it is none.  These tests churn 1–6-entry
+//! benchmark's `favorita-ring`); with the inline singleton, the small
+//! vector and the swiss-table deletion rule it is none.  These tests churn 1–6-entry
 //! relations — alone and as the components of a generalized-cofactor
 //! payload — 10 000 times each and pin [`RelValue::table_rehashes`] to the
 //! value it had after the first fill.
@@ -27,8 +27,9 @@ fn small_relations_churn_ten_thousand_times_without_a_rehash() {
         for i in 0..n {
             r.add_entry(&key(i), 1.0);
         }
-        // Growth to `n` entries may rehash (4 → 8 slots at the fourth
-        // key); from here on the count must not move.
+        // Growth to `n` entries may reallocate (up to six keys live in one
+        // vector, which never rehashes); from here on neither the rehash
+        // count nor the footprint may move.
         let settled = r.table_rehashes();
         let bytes = r.allocated_bytes();
         let mut present = vec![true; n];

@@ -9,8 +9,8 @@
 //! cases the encoding canonicalizes — strings (dictionary ids), integers,
 //! `-0.0` vs `0.0`, and NaN payloads.
 
-use fivm_common::Value;
-use fivm_ring::{ApproxEq, RelValue, Ring, RingCtx};
+use fivm_common::{EncodedValue, Value};
+use fivm_ring::{ApproxEq, GenCofactor, RelValue, Ring, RingCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -323,6 +323,263 @@ fn representation_transitions_agree_with_the_boxed_reference() {
                 enc.reset_zero();
                 boxed.reset_zero();
             }
+        }
+    }
+}
+
+/// The vector shape's own transitions, one key at a time against the boxed
+/// reference: `One → Small` at the second distinct key, growth to the byte
+/// budget (eight entries, never more than 384 heap bytes), the spill into a
+/// table one key past it, and — on a fresh vector — a removal mid-vector
+/// (the later entries keep their arrival order), the refill after it, and a
+/// cancellation to zero that keeps the vector for the next refill.
+#[test]
+fn small_vector_transitions_agree_with_the_boxed_reference() {
+    const BUDGET: usize = 384;
+    let mut pool = value_pool();
+    for seed in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(0x5A11 + seed);
+        let ctx = RingCtx::new();
+        // Distinct keys: the pool's values (as keys, so -0.0/0.0 and the
+        // two NaNs count once) in a seeded order under attribute 0, then
+        // integers under attribute 1 — more than a vector holds.
+        for i in (1..pool.len()).rev() {
+            pool.swap(i, rng.gen_range(0..=i));
+        }
+        let mut keys: Vec<(usize, Value)> = Vec::new();
+        for v in &pool {
+            if !keys.iter().any(|(_, k)| k == v) {
+                keys.push((0, v.clone()));
+            }
+        }
+        keys.extend((0..4).map(|i| (1, Value::int(100 + i))));
+        let weighted = |(attr, v): &(usize, Value), w: f64| {
+            (
+                RelValue::weighted(*attr, ctx.encode_value(v), w),
+                BoxedRelValue::weighted(*attr, v.clone(), w),
+            )
+        };
+        let what = |stage: &str| format!("seed {seed}, {stage}");
+
+        // Empty → One → Small → (budget) → Table, one distinct key a step.
+        let mut enc = RelValue::empty();
+        let mut boxed = BoxedRelValue::empty();
+        for (n, key) in keys.iter().take(10).enumerate() {
+            let (e, b) = weighted(key, [0.5, -1.5, 2.0, 3.0][rng.gen_range(0..4usize)]);
+            enc.add_assign(&e);
+            boxed.add_assign(&b);
+            let stage = what(&format!("{} keys", n + 1));
+            assert_same(&ctx, &enc, &boxed, &stage);
+            assert_eq!(enc.len(), n + 1, "{stage}");
+            let heap = enc.allocated_bytes();
+            match n + 1 {
+                1 => assert_eq!(heap, 0, "{stage}: not inline"),
+                2..=8 => assert!(heap > 0 && heap <= BUDGET, "{stage}: {heap} B"),
+                _ => assert!(heap > BUDGET, "{stage}: did not spill ({heap} B)"),
+            }
+        }
+
+        // A fresh vector: removal mid-vector, refill, cancel to zero.
+        let len = rng.gen_range(3..=8usize);
+        let mut enc = RelValue::empty();
+        let mut boxed = BoxedRelValue::empty();
+        let mut order = Vec::new();
+        for key in &keys[..len] {
+            let (e, b) = weighted(key, 1.0);
+            enc.add_assign(&e);
+            boxed.add_assign(&b);
+            order.push(e.iter().next().expect("one entry").0.clone());
+        }
+        let in_order = |enc: &RelValue| enc.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
+        assert_eq!(in_order(&enc), order, "{}", what("arrival order"));
+        let mid = rng.gen_range(1..len - 1);
+        let (e, b) = weighted(&keys[mid], -1.0);
+        enc.add_assign(&e);
+        boxed.add_assign(&b);
+        let gone = order.remove(mid);
+        assert_same(&ctx, &enc, &boxed, &what("removal mid-vector"));
+        assert_eq!(in_order(&enc), order, "{}", what("order after removal"));
+        let (e, b) = weighted(&keys[mid], 2.0);
+        enc.add_assign(&e);
+        boxed.add_assign(&b);
+        order.push(gone);
+        assert_same(&ctx, &enc, &boxed, &what("refill"));
+        assert_eq!(in_order(&enc), order, "{}", what("order after refill"));
+        let bytes = enc.allocated_bytes();
+        let (mut rest_e, mut rest_b) = (enc.clone(), boxed.clone());
+        rest_e.add_scaled(&enc, -2.0);
+        rest_b.add_scaled(&boxed, -2.0);
+        enc.add_assign(&rest_e);
+        boxed.add_assign(&rest_b);
+        assert_same(&ctx, &enc, &boxed, &what("cancel to zero"));
+        assert!(enc.is_zero() && enc == RelValue::empty());
+        assert_eq!(enc.allocated_bytes(), bytes, "{}", what("vector dropped"));
+        let (e, b) = weighted(&keys[0], 1.0);
+        enc.add_assign(&e);
+        boxed.add_assign(&b);
+        assert_same(&ctx, &enc, &boxed, &what("refill after zero"));
+        assert_eq!(
+            enc.allocated_bytes(),
+            bytes,
+            "{}",
+            what("refill reallocated")
+        );
+    }
+}
+
+/// Adversarial weights through every interior shape (inline, vector at and
+/// below the budget, table), against the boxed reference: NaN never
+/// cancels, `inf + -inf` is NaN and not a removal, a `-0.0` contribution
+/// is skipped, and a delete of a never-inserted key leaves a negative
+/// weight that survives until the insert cancels it.  `is_zero` must agree
+/// with the reference after every step.
+#[test]
+fn adversarial_weights_through_every_shape_end_in_the_oracles_answer() {
+    let ctx = RingCtx::new();
+    for size in [0usize, 1, 4, 7, 12] {
+        let mut enc = RelValue::empty();
+        let mut boxed = BoxedRelValue::empty();
+        let add = |enc: &mut RelValue, boxed: &mut BoxedRelValue, attr: usize, v: i64, w: f64| {
+            enc.add_assign(&RelValue::weighted(
+                attr,
+                ctx.encode_value(&Value::int(v)),
+                w,
+            ));
+            boxed.add_assign(&BoxedRelValue::weighted(attr, Value::int(v), w));
+        };
+        // The background fixes the shape the adversarial keys land in.
+        for i in 0..size {
+            add(&mut enc, &mut boxed, 3, i as i64, 1.0);
+        }
+        let what = |stage: &str| format!("{size} background keys, {stage}");
+        let steps: &[(&str, i64, f64)] = &[
+            ("-0.0 into a fresh key", 10, -0.0),
+            ("NaN", 11, f64::NAN),
+            ("NaN cancelled by -NaN", 11, -f64::NAN),
+            ("+inf", 12, f64::INFINITY),
+            ("inf + -inf", 12, f64::NEG_INFINITY),
+            ("delete of a never-inserted key", 13, -1.0),
+            ("-0.0 into a live key", 13, -0.0),
+            ("its insert", 13, 1.0),
+        ];
+        for &(stage, v, w) in steps {
+            add(&mut enc, &mut boxed, 0, v, w);
+            assert_same(&ctx, &enc, &boxed, &what(stage));
+        }
+        let nan = enc.get(&[(0, EncodedValue::int(11))]);
+        assert!(nan.is_nan(), "{}", what("NaN cancelled"));
+        assert!(
+            enc.get(&[(0, EncodedValue::int(12))]).is_nan(),
+            "{}",
+            what("inf + -inf")
+        );
+        assert_eq!(enc.get(&[(0, EncodedValue::int(10))]), 0.0);
+        assert_eq!(enc.get(&[(0, EncodedValue::int(13))]), 0.0);
+        // Draining the background leaves exactly the two NaN keys: not zero.
+        for i in 0..size {
+            add(&mut enc, &mut boxed, 3, i as i64, -1.0);
+        }
+        assert_same(&ctx, &enc, &boxed, &what("drained"));
+        assert_eq!(enc.len(), 2);
+        assert!(!enc.is_zero());
+        // A relation that only ever saw -0.0 and a delete-then-insert is
+        // an exact zero in both.
+        let mut enc = RelValue::empty();
+        let mut boxed = BoxedRelValue::empty();
+        for i in 0..size {
+            add(&mut enc, &mut boxed, 3, i as i64, 1.0);
+        }
+        for &(v, w) in &[(20, -0.0), (21, -1.0), (21, 1.0)] {
+            add(&mut enc, &mut boxed, 0, v, w);
+        }
+        for i in 0..size {
+            add(&mut enc, &mut boxed, 3, i as i64, -1.0);
+        }
+        assert_same(&ctx, &enc, &boxed, &what("exact zero"));
+        assert!(enc.is_zero());
+    }
+}
+
+/// The same adversarial weights through the sparse component list of a
+/// generalized cofactor — a fresh payload and a pooled one — against one
+/// boxed relation per component, accumulated with the contributions the
+/// ring owes it: a categorical lift over a scalar accumulator (`s_0` and
+/// `Q_00` gain `scale·w·{c}`) and a categorical × continuous product (`s_0`
+/// and `Q_00` gain `scale·{c}`, `Q_01` gains `scale·x·{c}`).
+#[test]
+fn adversarial_weights_through_the_sparse_component_list_end_in_the_oracles_answer() {
+    let dim = 3;
+    let tri = |i: usize, j: usize| dim + i * dim - i * (i + 1) / 2 + j;
+    let ctx = RingCtx::new();
+    let (c, d) = (Value::str("c"), Value::str("d"));
+    let (ec, ed) = (ctx.encode_value(&c), ctx.encode_value(&d));
+    let weights = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 2.0];
+    for (&x, pooled) in weights.iter().flat_map(|x| [(x, false), (x, true)]) {
+        let mut payload = GenCofactor::zero();
+        if pooled {
+            payload = GenCofactor::lift_categorical(dim, 0, 0, ec)
+                .mul(&GenCofactor::lift_continuous(dim, 1, 1.0))
+                .add(&GenCofactor::lift_categorical(dim, 0, 0, ed));
+            payload.reset_zero();
+        }
+        let mut oracle = vec![BoxedRelValue::empty(); dim + dim * (dim + 1) / 2];
+        let check = |payload: &GenCofactor, oracle: &[BoxedRelValue], stage: &str| {
+            let what = format!("x = {x}, pooled = {pooled}, {stage}");
+            let dense = payload.to_dense(dim);
+            for i in 0..dim {
+                assert_same(
+                    &ctx,
+                    dense.sum_cats(i),
+                    &oracle[i],
+                    &format!("{what}: s[{i}]"),
+                );
+                for j in i..dim {
+                    let name = format!("{what}: Q[{i},{j}]");
+                    assert_same(&ctx, dense.prod_cats(i, j), &oracle[tri(i, j)], &name);
+                }
+            }
+            let dense_zero = payload.count() == 0.0
+                && (0..dim).all(|i| {
+                    payload.sum_scalar(i) == 0.0
+                        && (i..dim).all(|j| payload.prod_scalar(i, j) == 0.0)
+                });
+            let expected = dense_zero && oracle.iter().all(BoxedRelValue::is_zero);
+            assert_eq!(payload.is_zero(), expected, "{what}: is_zero");
+        };
+        let tuple = GenCofactor::lift_categorical(dim, 0, 0, ec)
+            .mul(&GenCofactor::lift_continuous(dim, 1, x));
+        let onehot = |v: &Value| BoxedRelValue::weighted(0, v.clone(), 1.0);
+        for scale in [1i64, -1] {
+            // Insert, then delete, the tuple `{c} × x`.
+            payload.fma_scaled(&tuple, &GenCofactor::one(), scale);
+            let s = scale as f64;
+            oracle[0].add_scaled(&onehot(&c), s);
+            oracle[tri(0, 0)].add_scaled(&onehot(&c), s);
+            oracle[tri(0, 1)].add_scaled(&onehot(&c), s * x);
+            check(&payload, &oracle, &format!("tuple, scale {scale}"));
+        }
+        // A weight-`x` categorical lift over a scalar accumulator, then its
+        // delete; and a delete of a never-inserted category, then its insert.
+        for (v, e, w, scale) in [
+            (&c, ec, x, 1i64),
+            (&c, ec, x, -1),
+            (&d, ed, 1.0, -1),
+            (&d, ed, 1.0, 1),
+        ] {
+            payload.fma_lift_categorical(&GenCofactor::scalar(w), dim, 0, 0, e, scale);
+            let k = scale as f64 * w;
+            if w != 0.0 {
+                oracle[0].add_scaled(&onehot(v), k);
+                oracle[tri(0, 0)].add_scaled(&onehot(v), k);
+            }
+            check(
+                &payload,
+                &oracle,
+                &format!("lift of {v:?} · {w}, scale {scale}"),
+            );
+        }
+        if x.is_finite() {
+            assert!(payload.is_zero(), "x = {x}: finite churn did not cancel");
         }
     }
 }
