@@ -178,14 +178,11 @@ fn read_tuple(r: &mut WireReader<'_>) -> WireResult<Tuple> {
 
 /// Appends framed [`CdcBatch`] records to a changelog file.
 ///
-/// Two write disciplines are offered:
-///
-/// * [`ChangelogWriter::append`] — one durable write per batch (write +
-///   `fsync`), the per-batch discipline [`crate::DurableEngine`] uses;
-/// * [`ChangelogWriter::append_unsynced`] + [`ChangelogWriter::sync`] —
-///   group commit: many appends share one `fsync`, amortizing the
-///   durability cost.  Nothing appended is durable (and nothing may be
-///   acknowledged) until the `sync` returns `Ok`.
+/// One write discipline: [`ChangelogWriter::append_unsynced`] writes
+/// records, and [`ChangelogWriter::sync`] makes everything written so far
+/// durable — once per batch or once per group of batches (group commit
+/// amortizes the `fsync`).  Nothing appended is durable (and nothing may
+/// be acknowledged) until the `sync` returns `Ok`.
 ///
 /// **Poisoning.**  After *any* append or sync failure the writer enters a
 /// poisoned state and refuses all further work with
@@ -206,14 +203,9 @@ pub struct ChangelogWriter {
 }
 
 impl ChangelogWriter {
-    /// Creates a fresh changelog (truncating any previous file) and writes
-    /// its header.  Sequence numbers start at 1.
-    pub fn create(path: impl AsRef<Path>) -> CdcResult<ChangelogWriter> {
-        Self::create_at(path, 1)
-    }
-
-    /// Creates a fresh changelog whose first batch will carry `first_seq`
-    /// — a rotated *segment* continuing an existing sequence.
+    /// Creates a fresh changelog (truncating any previous file) whose first
+    /// batch will carry `first_seq` — 1 for a new log, or the next sequence
+    /// number for a rotated *segment* continuing an existing one.
     pub fn create_at(path: impl AsRef<Path>, first_seq: u64) -> CdcResult<ChangelogWriter> {
         assert!(first_seq >= 1, "changelog sequence numbers start at 1");
         let mut file = File::create(path)?;
@@ -232,17 +224,11 @@ impl ChangelogWriter {
 
     /// Reopens an existing changelog for appending, continuing after the
     /// last durable batch.  The valid prefix determines the next sequence
-    /// number; a torn tail from an earlier crash is ignored — its bytes
-    /// are overwritten by truncating to the valid prefix first, so the
-    /// file never accretes garbage between valid records.
-    pub fn open_append(path: impl AsRef<Path>) -> CdcResult<ChangelogWriter> {
-        Self::open_append_at(path, 1)
-    }
-
-    /// [`ChangelogWriter::open_append`] for a segment that may be *empty*
-    /// (rotation crashed before its first append): with no valid records,
-    /// the next sequence number is `base_seq` — the number the segment was
-    /// rotated to carry — instead of 1.
+    /// number — `base_seq`, the number the file was created to carry, when
+    /// it holds no valid record (rotation crashed before the first
+    /// append).  A torn or corrupt tail from an earlier crash is truncated
+    /// back to the valid prefix first, so the file never accretes garbage
+    /// between valid records.
     pub fn open_append_at(path: impl AsRef<Path>, base_seq: u64) -> CdcResult<ChangelogWriter> {
         let path = path.as_ref();
         let (batches, end) = read_changelog(path)?;
@@ -296,22 +282,6 @@ impl ChangelogWriter {
             ));
         }
         Ok(())
-    }
-
-    /// Appends one update as a durable batch and returns its sequence
-    /// number.  The record is written and synced before this returns —
-    /// once it returns, a crash cannot lose the batch.
-    pub fn append_update(&mut self, update: &Update) -> CdcResult<u64> {
-        let batch = CdcBatch::from_update(self.next_seq, update);
-        self.append(&batch)?;
-        Ok(batch.seq)
-    }
-
-    /// Appends one pre-built batch (its `seq` must be the writer's next)
-    /// and syncs it — one durable write per batch.
-    pub fn append(&mut self, batch: &CdcBatch) -> CdcResult<()> {
-        self.append_unsynced(batch)?;
-        self.sync()
     }
 
     /// Appends one batch *without* syncing.  The batch is **not durable**
@@ -412,15 +382,24 @@ mod tests {
         dir
     }
 
+    /// Appends `update` as the writer's next batch and syncs it; returns
+    /// its sequence number.
+    fn append(w: &mut ChangelogWriter, update: &Update) -> CdcResult<u64> {
+        let seq = w.next_seq();
+        w.append_unsynced(&CdcBatch::from_update(seq, update))?;
+        w.sync()?;
+        Ok(seq)
+    }
+
     #[test]
     fn batches_round_trip_through_a_file() {
         let dir = tempdir("roundtrip");
         let path = dir.join("log");
-        let mut w = ChangelogWriter::create(&path).unwrap();
+        let mut w = ChangelogWriter::create_at(&path, 1).unwrap();
         let u1 = Update::inserts("Inventory", vec![row(&[1, 2]), row(&[3, 4])]);
         let u2 = Update::with_multiplicities("Inventory", vec![(row(&[1, 2]), -1)]);
-        assert_eq!(w.append_update(&u1).unwrap(), 1);
-        assert_eq!(w.append_update(&u2).unwrap(), 2);
+        assert_eq!(append(&mut w, &u1).unwrap(), 1);
+        assert_eq!(append(&mut w, &u2).unwrap(), 2);
         let mixed = CdcBatch {
             seq: 3,
             table: "Item".into(),
@@ -429,7 +408,8 @@ mod tests {
                 CdcOp::Insert { row: row(&[10, 11]), count: 3 },
             ],
         };
-        w.append(&mixed).unwrap();
+        w.append_unsynced(&mixed).unwrap();
+        w.sync().unwrap();
 
         let (batches, end) = read_changelog(&path).unwrap();
         assert!(end.is_clean());
@@ -449,9 +429,9 @@ mod tests {
     fn reopening_continues_the_sequence_and_drops_torn_tails() {
         let dir = tempdir("reopen");
         let path = dir.join("log");
-        let mut w = ChangelogWriter::create(&path).unwrap();
-        w.append_update(&Update::inserts("T", vec![row(&[1])])).unwrap();
-        w.append_update(&Update::inserts("T", vec![row(&[2])])).unwrap();
+        let mut w = ChangelogWriter::create_at(&path, 1).unwrap();
+        append(&mut w, &Update::inserts("T", vec![row(&[1])])).unwrap();
+        append(&mut w, &Update::inserts("T", vec![row(&[2])])).unwrap();
         drop(w);
 
         // Tear the tail: cut 3 bytes off the second record.
@@ -459,9 +439,9 @@ mod tests {
         crate::fault::truncate_tail(&path, 3).unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), len - 3);
 
-        let mut w = ChangelogWriter::open_append(&path).unwrap();
+        let mut w = ChangelogWriter::open_append_at(&path, 1).unwrap();
         assert_eq!(w.next_seq(), 2, "torn batch 2 was never durable");
-        w.append_update(&Update::inserts("T", vec![row(&[3])])).unwrap();
+        append(&mut w, &Update::inserts("T", vec![row(&[3])])).unwrap();
         let (batches, end) = read_changelog(&path).unwrap();
         assert!(end.is_clean(), "reopen truncated the torn bytes");
         assert_eq!(batches.iter().map(|b| b.seq).collect::<Vec<_>>(), vec![1, 2]);
@@ -473,14 +453,14 @@ mod tests {
     fn a_failed_fsync_poisons_the_writer_for_good() {
         let dir = tempdir("poison");
         let path = dir.join("log");
-        let mut w = ChangelogWriter::create(&path).unwrap();
-        w.append_update(&Update::inserts("T", vec![row(&[1])])).unwrap();
+        let mut w = ChangelogWriter::create_at(&path, 1).unwrap();
+        append(&mut w, &Update::inserts("T", vec![row(&[1])])).unwrap();
 
         // Arm one injected fsync failure: the append's write lands in the
         // file, the sync fails, the batch must never be acknowledged.
         let faults: SyncFaults = Arc::new(AtomicU32::new(1));
         w.set_sync_faults(Arc::clone(&faults));
-        let err = w.append_update(&Update::inserts("T", vec![row(&[2])])).unwrap_err();
+        let err = append(&mut w, &Update::inserts("T", vec![row(&[2])])).unwrap_err();
         assert_eq!(err.kind(), "io", "{err}");
         assert!(w.is_poisoned());
         assert_eq!(faults.load(Ordering::SeqCst), 0, "one fault consumed");
@@ -488,7 +468,7 @@ mod tests {
         // The hook is spent, a retry *could* sync — but the writer must
         // refuse: after a failed fsync the earlier bytes' durability is
         // unknowable, and a silent retry would forge the write-ahead ack.
-        let err = w.append_update(&Update::inserts("T", vec![row(&[3])])).unwrap_err();
+        let err = append(&mut w, &Update::inserts("T", vec![row(&[3])])).unwrap_err();
         assert_eq!(err.kind(), "poisoned", "{err}");
         let err = w.sync().unwrap_err();
         assert_eq!(err.kind(), "poisoned", "{err}");
@@ -497,7 +477,7 @@ mod tests {
         // Reopening recovers the durable prefix: batch 1 for sure; batch 2
         // may or may not have reached the disk (its sync failed), but the
         // log is structurally valid either way and the sequence continues.
-        let w = ChangelogWriter::open_append(&path).unwrap();
+        let w = ChangelogWriter::open_append_at(&path, 1).unwrap();
         assert!(w.next_seq() == 2 || w.next_seq() == 3);
         let (batches, _) = read_changelog(&path).unwrap();
         assert_eq!(batches[0].to_rows(), vec![(row(&[1]), 1)]);
@@ -508,7 +488,7 @@ mod tests {
     fn group_commit_appends_are_invisible_until_sync() {
         let dir = tempdir("group");
         let path = dir.join("log");
-        let mut w = ChangelogWriter::create(&path).unwrap();
+        let mut w = ChangelogWriter::create_at(&path, 1).unwrap();
         let before = w.file_len();
         w.append_unsynced(&CdcBatch::from_update(1, &Update::inserts("T", vec![row(&[1])])))
             .unwrap();

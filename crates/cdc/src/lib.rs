@@ -13,8 +13,9 @@
 //!   decoded values), one checksummed record per batch, stored as
 //!   size-bounded **segment** files (`changelog-<seq>.fvcl`) that rotate
 //!   as they fill and are retired once a snapshot covers them.
-//!   Write-ahead: a batch is synced to the log before it is applied to
-//!   the engine.
+//!   Write-ahead: a batch is validated against the engine, then synced to
+//!   the log, then applied — a batch the engine would refuse is never
+//!   logged, so replay can always apply what the log holds.
 //! * **Snapshot** ([`snapshot`]) — a point-in-time serialization of the
 //!   engine (dictionary, every view's `(hash, key, payload)` entries)
 //!   tagged with the changelog sequence number it includes; written
@@ -27,48 +28,33 @@
 //!   flipped bytes, and crashes at every batch/snapshot/rotation/
 //!   retirement boundary.
 //!
-//! Why partial failures are detectable rather than silent: every record
-//! is framed `[len][crc32][payload]` ([`framing`]).  A crash mid-append
-//! leaves a torn tail (classified [`LogEnd::TornTail`], a clean
-//! end-of-log); damaged bytes fail their checksum (classified
-//! [`LogEnd::Corrupt`], ending the durable prefix).  Replay stops at the
-//! damage point in both cases — the suffix was never durable, which is
-//! exactly what an appending, syncing writer guarantees.  Damage in a
-//! *sealed* segment (one the log rotated past) is bit rot, not a crash
-//! artifact, and fails loudly instead ([`segment`]).
+//! Partial failures are detectable, not silent: every record is framed
+//! `[len][crc32][payload]` ([`framing`]), so a crash mid-append leaves a
+//! [`LogEnd::TornTail`] and damaged bytes a [`LogEnd::Corrupt`] — both end
+//! the durable prefix — while damage in a *sealed* segment fails loudly
+//! ([`segment`]).  What survives a restart bit for bit, and why, is
+//! argued in [`recover`] and in ROADMAP.md's "durability contract".
 //!
-//! Contracts carried across a restart (ROADMAP.md "durability contract"):
+//! One spine sits on these primitives ([`durable`]): [`Durable<M>`] puts
+//! the segmented log in front of any [`Maintained`] state and owns
+//! directory creation, validate-then-append (a batch the state would
+//! refuse is never logged), apply, recovery with its log reopen, and
+//! snapshot + retirement.  The front ends are handles on it:
 //!
-//! * **Ring-key contract** — changelog rows are decoded values and
-//!   re-encode through the recovering engine's dictionary; the snapshot
-//!   serializes its dictionary (strings in id order) *with* the encoded
-//!   view state, so encoded words never cross a dictionary boundary.
-//! * **Hash-once contract** — snapshots store each entry's hash; restore
-//!   pre-sizes every table and re-buckets from stored hashes, so
-//!   `rehashes` and `ring_rehashes` read 0 after recovery.
-//! * **Bit-exactness** — floats persist as raw bits
-//!   ([`fivm_ring::PersistRing`]); replay uses the live ingestion path in
-//!   the original batch order, so even non-associative float state
-//!   matches bit-for-bit.
-//! * **Ack ⇒ durable** — nothing is acknowledged before the fsync that
-//!   covers it returns `Ok`, and a failed append or fsync **poisons** the
-//!   pipeline ([`CdcError::Poisoned`]): after a failed sync, durability
-//!   of the pending bytes is unknowable, so the only safe continuation is
-//!   recovery from the on-disk prefix.
-//!
-//! Two front ends sit on these primitives:
-//!
-//! * [`DurableEngine`] — the synchronous façade: one fsync per batch,
-//!   snapshots on demand.  Simple, and the per-batch-durability baseline
+//! * [`DurableEngine`] — the spine over an [`fivm_core::Engine`]: one fsync
+//!   per batch, snapshots on demand.  The per-batch-durability baseline
 //!   the benches compare group commit against.
 //! * [`CdcService`] ([`service`]) — the deployable shape: a bounded
-//!   ingest queue with an explicit [`BackpressurePolicy`], **group
-//!   commit** (many batches per fsync), snapshot scheduling by log
-//!   growth, and segment retirement — disk stays bounded under an
-//!   infinite churn stream.
+//!   ingest queue with an explicit [`BackpressurePolicy`], and a commit
+//!   thread that drives a `DurableEngine` with **group commit** (many
+//!   batches per fsync), snapshots by batch count, and segment retirement
+//!   — disk stays bounded under an infinite churn stream.
+//! * `fivm_dag::DurableRegistry` — the spine over a multi-query registry,
+//!   recovered by full replay.
 
 pub mod changelog;
 pub mod crc;
+pub mod durable;
 pub mod error;
 pub mod fault;
 pub mod framing;
@@ -78,6 +64,7 @@ pub mod service;
 pub mod snapshot;
 
 pub use changelog::{read_changelog, CdcBatch, CdcOp, ChangelogWriter, SyncFaults};
+pub use durable::{Durable, DurableEngine, Maintained};
 pub use error::{CdcError, CdcResult};
 pub use framing::LogEnd;
 pub use recover::{recover, RecoveryReport};
@@ -87,179 +74,5 @@ pub use service::{
 };
 pub use snapshot::{load_snapshot, read_snapshot, write_snapshot};
 
-use fivm_core::{Engine, UpdateOutcome};
-use fivm_relation::{Database, Update};
-use fivm_ring::PersistRing;
-use segment::DEFAULT_SEGMENT_BYTES;
-use std::path::{Path, PathBuf};
-
 /// File name of the snapshot inside a durable directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.fvsn";
-
-/// An [`Engine`] with a write-ahead changelog and on-demand snapshots.
-///
-/// Update flow: [`DurableEngine::apply_update`] appends the batch to the
-/// changelog (synced — once the append returns, the batch is durable) and
-/// *then* applies it to the engine.  A crash between the two is safe:
-/// recovery replays the logged batch, converging on the same state.
-///
-/// The changelog is segmented ([`SegmentedLog`]): appends rotate to a new
-/// `changelog-<seq>.fvcl` file at the size bound, and recovery replays
-/// across the boundaries.  Snapshots ([`DurableEngine::snapshot`]) bound
-/// replay time; segments are **not** retired here (recovery skips batches
-/// the snapshot already includes, and an older snapshot plus the same log
-/// still recovers) — [`CdcService`] is the front end that retires.
-pub struct DurableEngine<R: PersistRing> {
-    engine: Engine<R>,
-    log: SegmentedLog,
-    snapshot_path: PathBuf,
-    /// Sequence number of the last batch applied to the in-memory engine.
-    pub(crate) applied_seq: u64,
-}
-
-impl<R: PersistRing> DurableEngine<R> {
-    /// Wraps a freshly built engine, creating a new (empty) changelog in
-    /// `dir`.  Any previous changelog segments there are deleted; an
-    /// existing snapshot (and any stray snapshot temp file) is removed —
-    /// they describe state this engine never had.
-    pub fn create(engine: Engine<R>, dir: impl AsRef<Path>) -> CdcResult<Self> {
-        Self::create_with(engine, dir, DEFAULT_SEGMENT_BYTES)
-    }
-
-    /// [`DurableEngine::create`] with an explicit segment-rotation
-    /// threshold in bytes.
-    pub fn create_with(
-        engine: Engine<R>,
-        dir: impl AsRef<Path>,
-        max_segment_bytes: u64,
-    ) -> CdcResult<Self> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let snapshot_path = dir.join(SNAPSHOT_FILE);
-        remove_if_exists(&snapshot_path)?;
-        remove_if_exists(&snapshot_path.with_extension("tmp"))?;
-        let log = SegmentedLog::create(dir, max_segment_bytes)?;
-        Ok(DurableEngine {
-            engine,
-            log,
-            snapshot_path,
-            applied_seq: 0,
-        })
-    }
-
-    /// Recovers from the durable artifacts in `dir` into a freshly built
-    /// engine (same plan, ring and lifts as the crashed one), then reopens
-    /// the changelog for appending.  A stray `snapshot.fvsn.tmp` from a
-    /// crashed save is deleted first — the rename never happened, so it is
-    /// garbage.  See [`recover::recover`] for the snapshot-vs-full-replay
-    /// split and the bit-identity argument.
-    pub fn recover(
-        engine: Engine<R>,
-        db: &Database,
-        dir: impl AsRef<Path>,
-    ) -> CdcResult<(Self, RecoveryReport)> {
-        Self::recover_with(engine, db, dir, DEFAULT_SEGMENT_BYTES)
-    }
-
-    /// [`DurableEngine::recover`] with an explicit segment-rotation
-    /// threshold for the reopened log.
-    pub fn recover_with(
-        mut engine: Engine<R>,
-        db: &Database,
-        dir: impl AsRef<Path>,
-        max_segment_bytes: u64,
-    ) -> CdcResult<(Self, RecoveryReport)> {
-        let dir = dir.as_ref();
-        let snapshot_path = dir.join(SNAPSHOT_FILE);
-        remove_if_exists(&snapshot_path.with_extension("tmp"))?;
-        let snapshot = snapshot_path.exists().then_some(snapshot_path.as_path());
-        let report = recover::recover(&mut engine, db, snapshot, dir)?;
-        // Reopening truncates any torn/corrupt tail in the active segment
-        // to the valid prefix, so the next append continues the durable
-        // sequence.
-        let log = SegmentedLog::open_append(dir, max_segment_bytes, report.last_seq + 1)?;
-        if log.next_seq() <= report.last_seq {
-            return Err(CdcError::Corrupt(format!(
-                "changelog continues at seq {} but recovery reached seq {}: the log lost \
-                 durable batches a snapshot still covers",
-                log.next_seq(),
-                report.last_seq
-            )));
-        }
-        Ok((
-            DurableEngine {
-                engine,
-                log,
-                snapshot_path,
-                applied_seq: report.last_seq,
-            },
-            report,
-        ))
-    }
-
-    /// Loads the base database.  Not logged: the base load is part of the
-    /// engine-construction recipe, and recovery re-loads it (or restores
-    /// a snapshot that already includes it) before replaying the log.
-    pub fn load_database(&mut self, db: &Database) -> CdcResult<()> {
-        self.engine.load_database(db)?;
-        Ok(())
-    }
-
-    /// Write-ahead apply: the batch is durable in the changelog before
-    /// the engine sees it.
-    pub fn apply_update(&mut self, update: &Update) -> CdcResult<UpdateOutcome> {
-        let seq = self.log.append_update(update)?;
-        let outcome = self.engine.apply_update(update)?;
-        self.applied_seq = seq;
-        Ok(outcome)
-    }
-
-    /// Writes an atomic snapshot of the current state, tagged with the
-    /// last applied sequence number (returned).
-    pub fn snapshot(&mut self) -> CdcResult<u64> {
-        write_snapshot(&self.snapshot_path, self.applied_seq, &self.engine)?;
-        Ok(self.applied_seq)
-    }
-
-    /// Deletes sealed changelog segments entirely covered by a snapshot
-    /// at `snapshot_seq` (see [`SegmentedLog::retire`]); returns how many
-    /// were deleted.
-    pub fn retire_segments(&mut self, snapshot_seq: u64) -> CdcResult<usize> {
-        self.log.retire(snapshot_seq)
-    }
-
-    /// Sequence number of the last batch applied to the engine.
-    pub fn applied_seq(&self) -> u64 {
-        self.applied_seq
-    }
-
-    /// Total changelog bytes on disk across every segment.
-    pub fn changelog_bytes(&self) -> u64 {
-        self.log.total_bytes()
-    }
-
-    /// The wrapped engine (results, stats, views).
-    pub fn engine(&self) -> &Engine<R> {
-        &self.engine
-    }
-
-    /// Mutable access to the wrapped engine.  Changes made directly are
-    /// **not** logged; use [`DurableEngine::apply_update`] for durable
-    /// mutations.
-    pub fn engine_mut(&mut self) -> &mut Engine<R> {
-        &mut self.engine
-    }
-
-    /// Consumes the wrapper, returning the engine.
-    pub fn into_engine(self) -> Engine<R> {
-        self.engine
-    }
-}
-
-pub(crate) fn remove_if_exists(path: &Path) -> CdcResult<()> {
-    match std::fs::remove_file(path) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(e.into()),
-    }
-}

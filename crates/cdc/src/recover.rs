@@ -7,8 +7,8 @@
 //! * the snapshot stores ring payloads as raw bits and the dictionary's
 //!   strings in id order, so restore reproduces the exact views and the
 //!   exact encoded words ([`fivm_core::Engine::load_state`]);
-//! * replayed batches carry decoded rows and flow through
-//!   [`fivm_core::Engine::apply_update`] — the same code path, in the
+//! * replayed batches carry decoded rows and flow through the state's
+//!   `apply_update` ([`crate::Maintained`]) — the same code path, in the
 //!   same batch and row order, as live ingestion;
 //! * a torn or corrupt tail in the **active** (newest) changelog segment
 //!   marks where durability ended; the batches before it are applied, the
@@ -28,7 +28,7 @@
 //! 0 right after a restore (pre-sized tables, stored hashes) — which is
 //! the hash-once contract carrying over a restart, not a divergence.
 
-use crate::changelog::CdcBatch;
+use crate::durable::Maintained;
 use crate::error::{CdcError, CdcResult};
 use crate::framing::LogEnd;
 use crate::segment::read_log_dir;
@@ -83,28 +83,45 @@ pub fn recover<R: PersistRing>(
     snapshot: Option<&Path>,
     log_dir: &Path,
 ) -> CdcResult<RecoveryReport> {
+    recover_state(engine, db, log_dir, |engine| {
+        snapshot.map(|path| restore_snapshot(engine, db, path)).transpose()
+    })
+}
+
+/// Restores the snapshot at `path` into a freshly built engine, re-binding
+/// base-table layouts from `db`'s schemas first (bindings are not part of
+/// the snapshot — [`Engine::save_state`]); returns the snapshot's seq.
+pub(crate) fn restore_snapshot<R: PersistRing>(
+    engine: &mut Engine<R>,
+    db: &Database,
+    path: &Path,
+) -> CdcResult<u64> {
+    let spec = engine.tree().spec().clone();
+    for rel in 0..spec.num_relations() {
+        let name = &spec.relation(rel).name;
+        let table = db.table(name).ok_or_else(|| {
+            CdcError::Corrupt(format!("recovery database has no table named `{name}`"))
+        })?;
+        engine.bind_table(rel, &table.schema)?;
+    }
+    load_snapshot(path, engine)
+}
+
+/// The replay loop every recovery runs: `restore` restores a snapshot into
+/// `state` and returns its sequence number (`None` loads `db` instead),
+/// then every logged batch past that point is applied through the live
+/// `apply_update` path, in sequence order, across segment boundaries.
+pub(crate) fn recover_state<M: Maintained>(
+    state: &mut M,
+    db: &Database,
+    log_dir: &Path,
+    restore: impl FnOnce(&mut M) -> Result<Option<u64>, M::Error>,
+) -> Result<RecoveryReport, M::Error> {
     let scan = read_log_dir(log_dir)?;
-    let snapshot_seq = match snapshot {
-        Some(path) => {
-            // Bindings are part of the engine-construction recipe, not the
-            // snapshot (see `Engine::save_state`); re-bind before restore.
-            let spec = engine.tree().spec().clone();
-            for rel in 0..spec.num_relations() {
-                let name = &spec.relation(rel).name;
-                let table = db.table(name).ok_or_else(|| {
-                    CdcError::Corrupt(format!(
-                        "recovery database has no table named `{name}`"
-                    ))
-                })?;
-                engine.bind_table(rel, &table.schema)?;
-            }
-            Some(load_snapshot(path, engine)?)
-        }
-        None => {
-            engine.load_database(db)?;
-            None
-        }
-    };
+    let snapshot_seq = restore(state)?;
+    if snapshot_seq.is_none() {
+        state.load_database(db)?;
+    }
     let from = snapshot_seq.unwrap_or(0);
     if let Some(oldest) = scan.oldest_seq {
         if oldest > from + 1 {
@@ -112,7 +129,8 @@ pub fn recover<R: PersistRing>(
                 "changelog starts at seq {oldest} but the supplied snapshot covers only \
                  through seq {from}: the intervening segments were retired against a \
                  newer snapshot — recover with that snapshot instead"
-            )));
+            ))
+            .into());
         }
     }
     let mut report = RecoveryReport {
@@ -123,20 +141,11 @@ pub fn recover<R: PersistRing>(
         log_end: scan.end,
         segments_scanned: scan.segments,
     };
-    for batch in &scan.batches {
-        if batch.seq <= from {
-            continue;
-        }
-        replay_batch(engine, batch)?;
+    for batch in scan.batches.iter().filter(|b| b.seq > from) {
+        state.apply_update(&batch.to_update())?;
         report.replayed_batches += 1;
         report.replayed_rows += batch.ops.len();
         report.last_seq = batch.seq;
     }
     Ok(report)
-}
-
-/// Applies one changelog batch through the live-ingestion path.
-fn replay_batch<R: PersistRing>(engine: &mut Engine<R>, batch: &CdcBatch) -> CdcResult<()> {
-    engine.apply_update(&batch.to_update())?;
-    Ok(())
 }

@@ -234,13 +234,12 @@ impl SegmentedLog {
     /// holding only a snapshot), a new segment is created named for
     /// `fallback_first_seq` — the sequence number after the recovered
     /// snapshot's.
-    pub fn open_append(
+    pub(crate) fn open_append(
         dir: impl AsRef<Path>,
         max_segment_bytes: u64,
         fallback_first_seq: u64,
     ) -> CdcResult<SegmentedLog> {
         let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
         let mut segments = list_segments(&dir)?;
         let (active, active_first_seq) = match segments.pop() {
             None => {
@@ -299,12 +298,6 @@ impl SegmentedLog {
         self.sealed.iter().map(|s| s.bytes).sum::<u64>() + self.active.file_len()
     }
 
-    /// Whether an earlier failure poisoned the log (see
-    /// [`ChangelogWriter::is_poisoned`]).
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned || self.active.is_poisoned()
-    }
-
     /// Arms the fsync fault injector on the active segment and every
     /// segment rotated to later.
     pub fn set_sync_faults(&mut self, faults: SyncFaults) {
@@ -334,14 +327,6 @@ impl SegmentedLog {
     /// once this returns `Ok` (earlier segments were synced when sealed).
     pub fn sync(&mut self) -> CdcResult<()> {
         self.active.sync()
-    }
-
-    /// Appends one update durably (append + sync) and returns its
-    /// sequence number — the per-batch-fsync discipline.
-    pub fn append_update(&mut self, update: &Update) -> CdcResult<u64> {
-        let seq = self.append_unsynced(update)?;
-        self.sync()?;
-        Ok(seq)
     }
 
     /// Seals the active segment and opens the next when the size bound is
@@ -422,6 +407,13 @@ mod tests {
         Update::inserts("T", vec![row(v)])
     }
 
+    /// Appends `update(v)` durably (append + sync); returns its seq.
+    fn append(log: &mut SegmentedLog, v: i64) -> u64 {
+        let seq = log.append_unsynced(&update(v)).unwrap();
+        log.sync().unwrap();
+        seq
+    }
+
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "fivm_cdc_segment_{tag}_{}",
@@ -452,7 +444,7 @@ mod tests {
         // Tiny bound: every batch lands in its own segment after the first.
         let mut log = SegmentedLog::create(&dir, 1).unwrap();
         for v in 1..=5 {
-            assert_eq!(log.append_update(&update(v)).unwrap(), v as u64);
+            assert_eq!(append(&mut log, v), v as u64);
         }
         assert_eq!(log.segment_count(), 5);
         let scan = read_log_dir(&dir).unwrap();
@@ -468,7 +460,7 @@ mod tests {
         drop(log);
         let mut log = SegmentedLog::open_append(&dir, 1, 1).unwrap();
         assert_eq!(log.next_seq(), 6);
-        log.append_update(&update(6)).unwrap();
+        append(&mut log, 6);
         let scan = read_log_dir(&dir).unwrap();
         assert_eq!(scan.batches.len(), 6);
         let _ = std::fs::remove_dir_all(&dir);
@@ -479,7 +471,7 @@ mod tests {
         let dir = tempdir("retire");
         let mut log = SegmentedLog::create(&dir, 1).unwrap();
         for v in 1..=6 {
-            log.append_update(&update(v)).unwrap();
+            append(&mut log, v);
         }
         assert_eq!(log.segment_count(), 6);
         let total_before = log.total_bytes();
@@ -508,7 +500,7 @@ mod tests {
         let dir = tempdir("empty_tail");
         let mut log = SegmentedLog::create(&dir, 1).unwrap();
         for v in 1..=3 {
-            log.append_update(&update(v)).unwrap();
+            append(&mut log, v);
         }
         drop(log);
         // Simulate: rotation created the next segment (header only), crash
@@ -520,7 +512,7 @@ mod tests {
 
         let mut log = SegmentedLog::open_append(&dir, 1, 1).unwrap();
         assert_eq!(log.next_seq(), 4, "empty tail segment names its own base seq");
-        log.append_update(&update(4)).unwrap();
+        append(&mut log, 4);
         let scan = read_log_dir(&dir).unwrap();
         assert_eq!(scan.batches.last().unwrap().seq, 4);
         let _ = std::fs::remove_dir_all(&dir);
@@ -530,7 +522,7 @@ mod tests {
     fn torn_header_tail_segment_is_torn_at_zero() {
         let dir = tempdir("torn_header");
         let mut log = SegmentedLog::create(&dir, 1).unwrap();
-        log.append_update(&update(1)).unwrap();
+        append(&mut log, 1);
         drop(log);
         // Crash mid-rotation: the successor file exists with 3 header bytes.
         std::fs::write(dir.join(segment_file_name(2)), [0x46, 0x56, 0x43]).unwrap();
@@ -541,7 +533,7 @@ mod tests {
         // Reopen recreates the torn segment and continues at seq 2.
         let mut log = SegmentedLog::open_append(&dir, 1, 1).unwrap();
         assert_eq!(log.next_seq(), 2);
-        log.append_update(&update(2)).unwrap();
+        append(&mut log, 2);
         let scan = read_log_dir(&dir).unwrap();
         assert!(scan.end.is_clean());
         assert_eq!(scan.batches.len(), 2);
@@ -553,7 +545,7 @@ mod tests {
         let dir = tempdir("sealed_damage");
         let mut log = SegmentedLog::create(&dir, 1).unwrap();
         for v in 1..=3 {
-            log.append_update(&update(v)).unwrap();
+            append(&mut log, v);
         }
         drop(log);
         // Damage the *middle* segment: bit rot on a sealed file.
@@ -571,7 +563,7 @@ mod tests {
         let dir = tempdir("gap");
         let mut log = SegmentedLog::create(&dir, 1).unwrap();
         for v in 1..=4 {
-            log.append_update(&update(v)).unwrap();
+            append(&mut log, v);
         }
         drop(log);
         // Delete a middle segment: the listing still sorts, but the chain

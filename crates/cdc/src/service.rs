@@ -1,55 +1,50 @@
-//! The CDC service front end: a bounded ingest queue feeding a durable
-//! engine through group commit, with segment rotation, snapshot
-//! scheduling, and retirement driven from the commit loop.
-//!
-//! Shape: producers call [`CdcService::submit`] from any thread; a single
-//! **commit thread** owns the engine and the segmented changelog and
-//! drains the queue in *groups*:
+//! The CDC service front end: a bounded ingest queue feeding a
+//! [`DurableEngine`] through group commit.  The service owns the queue,
+//! the commit thread and the snapshot policy and nothing else — creating
+//! the directory, validate-then-append, apply and recovery are the
+//! spine's ([`crate::durable`]).
 //!
 //! ```text
 //! submit() → [bounded queue] → drain ≤ group_commit_max
-//!                              → N × append_unsynced → 1 × fsync   (durable)
-//!                              → N × engine.apply_update           (applied)
+//!                              → N × (check + append) → 1 × fsync  (durable)
+//!                              → N × apply                        (applied)
 //!                              → snapshot?  → retire old segments
 //! ```
 //!
-//! **Group commit ack rule.**  Nothing is acknowledged until the group's
-//! single `fsync` returns `Ok` — [`CdcService::durable_seq`] only
-//! advances past a batch after the sync that covers it, and
-//! [`CdcService::flush`] returns only once every accepted batch is both
-//! durable and applied.  If any append, sync, or apply fails, the service
-//! **poisons**: every later call returns [`CdcError::Poisoned`], and no
-//! batch after the failure is ever acknowledged (see
-//! [`crate::changelog::ChangelogWriter`] for why a failed fsync cannot be
-//! retried).
+//! **Ack rule.**  Nothing is acknowledged until the group's fsync returns
+//! `Ok`: [`CdcService::durable_seq`] advances only past synced batches, and
+//! [`CdcService::flush`] returns once every accepted batch is durable and
+//! applied.  A failed append, sync or apply, or a commit-thread panic,
+//! **poisons** the service: every later call returns
+//! [`CdcError::Poisoned`] with the cause, and nothing after the failure is
+//! acknowledged (a failed fsync cannot be retried — see
+//! [`crate::changelog::ChangelogWriter`]).  A batch the engine refuses is
+//! never appended: its group's valid prefix is made durable and applied,
+//! then the service poisons with the refusal (`durable_seq ==
+//! applied_seq`, the log stays recoverable).
 //!
-//! **Backpressure.**  The queue holds at most `queue_capacity` pending
-//! batches (one in-flight commit group may be buffered beyond that).
-//! When it is full, [`BackpressurePolicy`] decides: block with a
-//! deadline, reject with a typed error, or shed the oldest *pending*
-//! batch (lossy sources).  A shed batch is never appended, applied, or
-//! acknowledged — [`ServiceStats::shed_batches`] counts the loss.
+//! **Backpressure.**  At most `queue_capacity` pending batches (plus one
+//! in-flight group); beyond that [`BackpressurePolicy`] blocks with a
+//! deadline, rejects, or sheds the oldest *pending* batch — never
+//! appended, applied or acknowledged, counted in
+//! [`ServiceStats::shed_batches`].
 //!
-//! **Snapshot scheduling.**  After each applied group the loop checks the
-//! log-growth policy (`snapshot_every_bytes` / `snapshot_every_batches`);
-//! when due it writes an atomic snapshot at the just-applied sequence
-//! number and retires every sealed segment the snapshot covers, which is
-//! what bounds disk under an infinite churn stream.
-//!
-//! Shutdown drains: batches accepted before [`CdcService::shutdown`] are
-//! still committed durably and applied; submissions racing shutdown get
-//! [`CdcError::Shutdown`] and were *not* enqueued.
+//! **Snapshots.**  Every `snapshot_every_batches` applied batches the loop
+//! snapshots and retires the sealed segments the snapshot covers, which
+//! bounds disk under an infinite churn stream.  Shutdown drains every
+//! accepted batch; submissions racing it get [`CdcError::Shutdown`].
 
 use crate::changelog::SyncFaults;
+use crate::durable::DurableEngine;
 use crate::error::{CdcError, CdcResult};
-use crate::segment::{SegmentedLog, DEFAULT_SEGMENT_BYTES};
-use crate::snapshot::write_snapshot;
-use crate::{remove_if_exists, RecoveryReport, SNAPSHOT_FILE};
+use crate::segment::DEFAULT_SEGMENT_BYTES;
+use crate::RecoveryReport;
 use fivm_core::Engine;
 use fivm_relation::{Database, Update};
 use fivm_ring::PersistRing;
 use std::collections::VecDeque;
-use std::path::{Path, PathBuf};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -84,14 +79,9 @@ pub struct ServiceConfig {
     pub group_commit_max: usize,
     /// Changelog segment rotation threshold in bytes.
     pub max_segment_bytes: u64,
-    /// Snapshot after this many appended changelog bytes (`None` = no
-    /// byte trigger).
-    pub snapshot_every_bytes: Option<u64>,
-    /// Snapshot after this many applied batches (`None` = no batch
-    /// trigger).
+    /// Snapshot after this many applied batches, then retire the sealed
+    /// segments the snapshot covers (`None` = never snapshot).
     pub snapshot_every_batches: Option<u64>,
-    /// Whether to delete sealed segments a snapshot has made obsolete.
-    pub retire_segments: bool,
     /// Fault hook: injected fsync failures (see
     /// [`crate::changelog::ChangelogWriter::set_sync_faults`]).
     pub sync_faults: Option<SyncFaults>,
@@ -108,9 +98,7 @@ impl Default for ServiceConfig {
             backpressure: BackpressurePolicy::Block { deadline: Duration::from_secs(10) },
             group_commit_max: 64,
             max_segment_bytes: DEFAULT_SEGMENT_BYTES,
-            snapshot_every_bytes: None,
             snapshot_every_batches: None,
-            retire_segments: true,
             sync_faults: None,
             commit_gate: None,
         }
@@ -178,41 +166,32 @@ pub struct ServiceStats {
     pub shed_batches: u64,
     /// Commit groups synced (= changelog fsyncs issued by the service).
     pub committed_groups: u64,
-    /// Snapshots written by the log-growth policy.
+    /// Snapshots written by the snapshot policy.
     pub snapshots: u64,
     /// Sealed segments deleted after snapshots.
     pub retired_segments: u64,
     /// High-water mark of the pending queue.
     pub max_queue_depth: usize,
-    /// Changelog bytes on disk after the most recent group (all
-    /// segments).
+    /// Changelog bytes on disk (all segments) after the latest group.
     pub changelog_bytes: u64,
     /// High-water mark of [`ServiceStats::changelog_bytes`] — the
     /// bounded-disk assertion reads this.
     pub max_changelog_bytes: u64,
 }
 
-/// One queued batch.
-struct Pending {
-    update: Update,
-    rows: u64,
-}
-
 /// State shared between producers and the commit thread.
 struct QueueState {
-    queue: VecDeque<Pending>,
+    queue: VecDeque<Update>,
     /// Batches accepted into the queue, ever.
     accepted: u64,
-    /// Batches fully resolved: durably committed **and** applied, or
-    /// shed.  `flush` waits for `completed == accepted`.
+    /// Batches durably committed **and** applied, or shed.
     completed: u64,
     /// Highest sequence number covered by a successful fsync.
     durable_seq: u64,
     /// Highest sequence number applied to the engine.
     applied_seq: u64,
     shutdown: bool,
-    /// Set (with the original error's text) when the pipeline failed;
-    /// never cleared.
+    /// The text of the failure that poisoned the pipeline; never cleared.
     poisoned: Option<String>,
     stats: ServiceStats,
 }
@@ -237,20 +216,51 @@ impl Shared {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn poison(&self, msg: String) {
+    /// Records `e` as the pipeline's failure, wakes every waiter, and
+    /// returns `e` for the commit thread to hand back.
+    fn poison(&self, e: CdcError) -> Option<CdcError> {
         let mut st = self.lock_state();
         if st.poisoned.is_none() {
-            st.poisoned = Some(msg);
+            st.poisoned = Some(e.to_string());
         }
         drop(st);
         self.submit_cv.notify_all();
         self.ack_cv.notify_all();
         self.work_cv.notify_all();
+        Some(e)
+    }
+
+    fn signal_shutdown(&self) {
+        self.lock_state().shutdown = true;
+        self.work_cv.notify_all();
+        self.submit_cv.notify_all();
+    }
+
+    /// Waits until every batch accepted so far is resolved (durable and
+    /// applied, or shed); `Poisoned` if the pipeline fails first.
+    fn flush(&self) -> CdcResult<u64> {
+        let mut st = self.lock_state();
+        let target = st.accepted;
+        while st.completed < target {
+            if let Some(msg) = &st.poisoned {
+                return Err(CdcError::Poisoned(msg.clone()));
+            }
+            st = self.ack_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        Ok(st.durable_seq)
     }
 }
 
-fn poisoned_err(msg: &str) -> CdcError {
-    CdcError::Poisoned(msg.to_string())
+/// Dropping a service without [`CdcService::shutdown`] still drains:
+/// shutdown is signalled and the drop waits until every accepted batch is
+/// committed and applied (or the pipeline poisons).
+struct DrainOnDrop(Arc<Shared>);
+
+impl Drop for DrainOnDrop {
+    fn drop(&mut self) {
+        self.0.signal_shutdown();
+        let _ = self.0.flush();
+    }
 }
 
 /// What [`CdcService::shutdown`] hands back after the drain.
@@ -263,81 +273,55 @@ pub struct ServiceShutdown<R: PersistRing> {
     pub durable_seq: u64,
     /// Highest sequence number applied to the engine.
     pub applied_seq: u64,
-    /// The failure that poisoned the service, if any.  When set, batches
-    /// past `durable_seq` were never acknowledged; recover from the
+    /// The failure that poisoned the service, if any — a commit-thread
+    /// panic included, as [`CdcError::Poisoned`] with the panic message.
+    /// When set, batches past `durable_seq` were never acknowledged, and
+    /// after a panic the engine may hold part of a batch; recover from the
     /// durable artifacts.
     pub error: Option<CdcError>,
 }
 
-/// The bounded-queue, group-commit front end over an [`Engine`] and a
-/// [`SegmentedLog`] (see the module docs for the pipeline and its ack
-/// rules).
+/// The bounded-queue, group-commit front end over a [`DurableEngine`]
+/// (see the module docs for the pipeline and its ack rules).
 pub struct CdcService<R: PersistRing> {
     shared: Arc<Shared>,
     queue_capacity: usize,
     backpressure: BackpressurePolicy,
-    handle: Option<JoinHandle<(Engine<R>, Option<CdcError>)>>,
+    /// The commit thread; it hands back the engine and the poison cause.
+    commit: JoinHandle<(DurableEngine<R>, Option<CdcError>)>,
+    _drain: DrainOnDrop,
 }
 
 impl<R: PersistRing> CdcService<R>
 where
     Engine<R>: Send + 'static,
 {
-    /// Starts a service over fresh durable artifacts in `dir` (previous
-    /// segments, snapshot, and stray snapshot temp files are removed).
+    /// Starts a service over fresh durable artifacts in `dir` (see
+    /// [`DurableEngine::create`]).
     pub fn start(engine: Engine<R>, dir: impl AsRef<Path>, config: ServiceConfig) -> CdcResult<Self> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let snapshot_path = dir.join(SNAPSHOT_FILE);
-        remove_if_exists(&snapshot_path)?;
-        remove_if_exists(&snapshot_path.with_extension("tmp"))?;
-        let mut log = SegmentedLog::create(dir, config.max_segment_bytes)?;
-        if let Some(faults) = &config.sync_faults {
-            log.set_sync_faults(faults.clone());
-        }
-        Ok(Self::spawn(engine, log, snapshot_path, config, 0))
+        let durable = DurableEngine::create_with(engine, dir, config.max_segment_bytes)?;
+        Self::spawn(durable, config)
     }
 
     /// Recovers engine state from the durable artifacts in `dir` (see
-    /// [`crate::recover::recover`]) and starts the service on top,
+    /// [`DurableEngine::recover`]) and starts the service on top,
     /// continuing the durable sequence.
     pub fn start_recovered(
-        mut engine: Engine<R>,
+        engine: Engine<R>,
         db: &Database,
         dir: impl AsRef<Path>,
         config: ServiceConfig,
     ) -> CdcResult<(Self, RecoveryReport)> {
-        let dir = dir.as_ref();
-        let snapshot_path = dir.join(SNAPSHOT_FILE);
-        // A stray temp file is a crashed snapshot save: the rename never
-        // happened, so it is garbage — clean it up before anything else.
-        remove_if_exists(&snapshot_path.with_extension("tmp"))?;
-        let snapshot = snapshot_path.exists().then_some(snapshot_path.as_path());
-        let report = crate::recover::recover(&mut engine, db, snapshot, dir)?;
-        let mut log =
-            SegmentedLog::open_append(dir, config.max_segment_bytes, report.last_seq + 1)?;
-        if log.next_seq() <= report.last_seq {
-            return Err(CdcError::Corrupt(format!(
-                "changelog continues at seq {} but recovery reached seq {}: the log lost \
-                 durable batches a snapshot still covers",
-                log.next_seq(),
-                report.last_seq
-            )));
-        }
-        if let Some(faults) = &config.sync_faults {
-            log.set_sync_faults(faults.clone());
-        }
-        let seq = report.last_seq;
-        Ok((Self::spawn(engine, log, snapshot_path, config, seq), report))
+        let (durable, report) =
+            DurableEngine::recover_at(engine, db, dir.as_ref(), config.max_segment_bytes)?;
+        Ok((Self::spawn(durable, config)?, report))
     }
 
-    fn spawn(
-        engine: Engine<R>,
-        log: SegmentedLog,
-        snapshot_path: PathBuf,
-        config: ServiceConfig,
-        start_seq: u64,
-    ) -> Self {
+    fn spawn(mut durable: DurableEngine<R>, config: ServiceConfig) -> CdcResult<Self> {
+        if let Some(faults) = &config.sync_faults {
+            durable.set_sync_faults(faults.clone());
+        }
+        let (start_seq, bytes) = (durable.applied_seq(), durable.changelog_bytes());
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
                 queue: VecDeque::with_capacity(config.queue_capacity.min(4096)),
@@ -348,8 +332,8 @@ where
                 shutdown: false,
                 poisoned: None,
                 stats: ServiceStats {
-                    changelog_bytes: log.total_bytes(),
-                    max_changelog_bytes: log.total_bytes(),
+                    changelog_bytes: bytes,
+                    max_changelog_bytes: bytes,
                     ..ServiceStats::default()
                 },
             }),
@@ -360,16 +344,31 @@ where
         let queue_capacity = config.queue_capacity.max(1);
         let backpressure = config.backpressure;
         let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
+        let commit = std::thread::Builder::new()
             .name("cdc-commit".into())
-            .spawn(move || commit_loop(engine, log, snapshot_path, config, thread_shared))
-            .expect("spawn cdc commit thread");
-        CdcService {
+            .spawn(move || {
+                // A panic anywhere in the loop poisons the service with its
+                // message instead of leaving `flush` waiting forever; the
+                // engine is handed back either way.
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    commit_loop(&mut durable, &config, &thread_shared)
+                }));
+                let error = run.unwrap_or_else(|panic| {
+                    let msg = (panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .or_else(|| panic.downcast_ref::<String>().cloned())
+                        .unwrap_or_default();
+                    let msg = format!("commit thread panicked: {msg}");
+                    thread_shared.poison(CdcError::Poisoned(msg))
+                });
+                (durable, error)
+            })?;
+        Ok(CdcService {
+            _drain: DrainOnDrop(Arc::clone(&shared)),
             shared,
             queue_capacity,
             backpressure,
-            handle: Some(handle),
-        }
+            commit,
+        })
     }
 
     /// Enqueues one batch for durable commit.  `Ok` means *accepted*, not
@@ -378,13 +377,11 @@ where
     /// [`BackpressurePolicy`] applies; a [`CdcError::Backpressure`] or
     /// [`CdcError::Shutdown`] return means the batch was **not** enqueued.
     pub fn submit(&self, update: Update) -> CdcResult<()> {
-        let rows = update.len() as u64;
-        let pending = Pending { update, rows };
         let deadline_start = Instant::now();
         let mut st = self.shared.lock_state();
         loop {
             if let Some(msg) = &st.poisoned {
-                return Err(poisoned_err(msg));
+                return Err(CdcError::Poisoned(msg.clone()));
             }
             if st.shutdown {
                 return Err(CdcError::Shutdown);
@@ -392,8 +389,8 @@ where
             if st.queue.len() < self.queue_capacity {
                 st.accepted += 1;
                 st.stats.accepted_batches += 1;
-                st.stats.accepted_rows += pending.rows;
-                st.queue.push_back(pending);
+                st.stats.accepted_rows += update.len() as u64;
+                st.queue.push_back(update);
                 st.stats.max_queue_depth = st.stats.max_queue_depth.max(st.queue.len());
                 drop(st);
                 self.shared.work_cv.notify_one();
@@ -441,15 +438,7 @@ where
     /// returns the highest durable sequence number.  Fails with
     /// [`CdcError::Poisoned`] if the pipeline failed before catching up.
     pub fn flush(&self) -> CdcResult<u64> {
-        let mut st = self.shared.lock_state();
-        let target = st.accepted;
-        while st.completed < target {
-            if let Some(msg) = &st.poisoned {
-                return Err(poisoned_err(msg));
-            }
-            st = self.shared.ack_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-        Ok(st.durable_seq)
+        self.shared.flush()
     }
 
     /// Highest sequence number covered by a successful fsync.
@@ -479,56 +468,35 @@ where
 
     /// Stops accepting batches, drains everything already accepted
     /// (durably committed and applied, unless the pipeline poisons first),
-    /// joins the commit thread, and hands the engine back.
-    pub fn shutdown(mut self) -> ServiceShutdown<R> {
-        self.signal_shutdown();
-        // xlint:allow(no-panic): the commit thread owns the engine; if it
-        // panicked there is no engine to hand back, and the ~10 existing
-        // call sites consume `self` by value — a Result here cannot return
-        // the service either. A panicked pipeline is unrecoverable by
-        // design (recover from the durable artifacts instead).
-        let handle = self.handle.take().expect("shutdown called once");
-        let (engine, error) = handle.join().expect("cdc commit thread panicked");
-        let st = self.shared.lock_state();
+    /// joins the commit thread, and hands the engine back.  A commit-thread
+    /// panic comes back as [`ServiceShutdown::error`].
+    pub fn shutdown(self) -> ServiceShutdown<R> {
+        let CdcService { shared, commit, .. } = self;
+        shared.signal_shutdown();
+        // The loop runs under `catch_unwind`, so the thread itself returns;
+        // a panic escaping that would be re-raised here, not swallowed.
+        let (durable, error) = commit.join().unwrap_or_else(|panic| resume_unwind(panic));
+        let st = shared.lock_state();
         ServiceShutdown {
-            engine,
+            engine: durable.into_state(),
             stats: st.stats.clone(),
             durable_seq: st.durable_seq,
             applied_seq: st.applied_seq,
             error,
         }
     }
-
-    fn signal_shutdown(&self) {
-        let mut st = self.shared.lock_state();
-        st.shutdown = true;
-        drop(st);
-        self.shared.work_cv.notify_all();
-        self.shared.submit_cv.notify_all();
-    }
 }
 
-impl<R: PersistRing> Drop for CdcService<R> {
-    fn drop(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.signal_shutdown();
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The commit thread: drains groups, makes them durable under one fsync,
-/// applies them, and runs the snapshot/retirement policy.  Returns the
-/// engine and the error that poisoned the pipeline (if any).
+/// The commit thread's loop: drains groups, has the spine validate and log
+/// each under one fsync, applies the logged prefix, and runs the
+/// snapshot/retirement policy.  Returns the error that poisoned the
+/// pipeline, if any.
 fn commit_loop<R: PersistRing>(
-    mut engine: Engine<R>,
-    mut log: SegmentedLog,
-    snapshot_path: PathBuf,
-    config: ServiceConfig,
-    shared: Arc<Shared>,
-) -> (Engine<R>, Option<CdcError>) {
+    durable: &mut DurableEngine<R>,
+    config: &ServiceConfig,
+    shared: &Shared,
+) -> Option<CdcError> {
     let group_max = config.group_commit_max.max(1);
-    let mut bytes_since_snapshot = 0u64;
     let mut batches_since_snapshot = 0u64;
     loop {
         // Wait for work (or a shutdown with an empty queue = drain done).
@@ -538,7 +506,7 @@ fn commit_loop<R: PersistRing>(
                 st = shared.work_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
             if st.queue.is_empty() {
-                return (engine, None);
+                return None;
             }
         }
         // Fault hook: hold here (lock released) so tests can pile up a
@@ -547,7 +515,7 @@ fn commit_loop<R: PersistRing>(
             gate.wait_open();
         }
         // Drain one group; this frees queue space for producers.
-        let group: Vec<Pending> = {
+        let group: Vec<Update> = {
             let mut st = shared.lock_state();
             let n = st.queue.len().min(group_max);
             let group = st.queue.drain(..n).collect();
@@ -555,94 +523,60 @@ fn commit_loop<R: PersistRing>(
             shared.submit_cv.notify_all();
             group
         };
-        if group.is_empty() {
-            continue;
-        }
 
-        // Append every batch, then one fsync for the whole group.  A
-        // rotation inside the loop syncs the sealed segment first, so the
-        // group-end sync still covers every byte of the group.
-        let bytes_before = log.total_bytes();
-        let mut last_seq = 0u64;
-        let mut failed: Option<CdcError> = None;
-        for p in &group {
-            match log.append_unsynced(&p.update) {
-                Ok(seq) => last_seq = seq,
-                Err(e) => {
-                    failed = Some(e);
-                    break;
+        // Validate + append the group, one fsync for all of it.  A rotation
+        // inside syncs the sealed segment first, so the group-end sync
+        // still covers every byte of the group.
+        let (logged, refused) = match durable.log_group(&group) {
+            Ok(logged) => logged,
+            Err(e) => return shared.poison(e),
+        };
+        if logged > 0 {
+            // Durable: the fsync covering the prefix succeeded — this is
+            // the acknowledgement point.
+            {
+                let mut st = shared.lock_state();
+                st.durable_seq = durable.applied_seq() + logged as u64;
+                st.stats.committed_groups += 1;
+            }
+            for update in &group[..logged] {
+                if let Err(e) = durable.apply_logged(update) {
+                    return shared.poison(e);
                 }
             }
-        }
-        if failed.is_none() {
-            if let Err(e) = log.sync() {
-                failed = Some(e);
-            }
-        }
-        if let Some(e) = failed {
-            shared.poison(e.to_string());
-            return (engine, Some(e));
-        }
-        let group_bytes = log.total_bytes() - bytes_before;
-
-        // Durable: the fsync covering `last_seq` succeeded — this is the
-        // acknowledgement point.
-        {
             let mut st = shared.lock_state();
-            st.durable_seq = last_seq;
-            st.stats.committed_groups += 1;
-        }
-
-        // Apply the group to the engine (write-ahead order: log first).
-        for p in &group {
-            if let Err(e) = engine.apply_update(&p.update) {
-                let e = CdcError::from(e);
-                shared.poison(e.to_string());
-                return (engine, Some(e));
-            }
-        }
-        {
-            let mut st = shared.lock_state();
-            st.applied_seq = last_seq;
-            st.completed += group.len() as u64;
-            st.stats.changelog_bytes = log.total_bytes();
+            st.applied_seq = durable.applied_seq();
+            st.completed += logged as u64;
+            st.stats.changelog_bytes = durable.changelog_bytes();
             st.stats.max_changelog_bytes =
                 st.stats.max_changelog_bytes.max(st.stats.changelog_bytes);
             drop(st);
             shared.ack_cv.notify_all();
         }
+        // The refused batch was never appended: the accepted prefix is
+        // durable and applied, and the service stops there.
+        if let Some(e) = refused {
+            return shared.poison(e);
+        }
 
-        // Snapshot by log growth, then retire what the snapshot covers.
-        bytes_since_snapshot += group_bytes;
-        batches_since_snapshot += group.len() as u64;
-        let due = config
-            .snapshot_every_bytes
-            .is_some_and(|b| bytes_since_snapshot >= b)
-            || config
-                .snapshot_every_batches
-                .is_some_and(|n| batches_since_snapshot >= n);
-        if due {
-            if let Err(e) = write_snapshot(&snapshot_path, last_seq, &engine) {
-                shared.poison(e.to_string());
-                return (engine, Some(e));
-            }
-            bytes_since_snapshot = 0;
-            batches_since_snapshot = 0;
-            let retired = if config.retire_segments {
-                match log.retire(last_seq) {
-                    Ok(n) => n as u64,
-                    Err(e) => {
-                        shared.poison(e.to_string());
-                        return (engine, Some(e));
-                    }
-                }
-            } else {
-                0
+        // Snapshot by batch count, then retire what the snapshot covers.
+        batches_since_snapshot += logged as u64;
+        if config
+            .snapshot_every_batches
+            .is_some_and(|n| batches_since_snapshot >= n)
+        {
+            let retired = match durable
+                .snapshot()
+                .and_then(|seq| durable.retire_segments(seq))
+            {
+                Ok(n) => n as u64,
+                Err(e) => return shared.poison(e),
             };
+            batches_since_snapshot = 0;
             let mut st = shared.lock_state();
             st.stats.snapshots += 1;
             st.stats.retired_segments += retired;
-            st.stats.changelog_bytes = log.total_bytes();
+            st.stats.changelog_bytes = durable.changelog_bytes();
         }
     }
 }

@@ -199,7 +199,7 @@ fn exercise<R: PersistRing, F: Fn(&RingCtx) -> Vec<LiftFn<R>>>(cfg: &Config<R, F
         assert_eq!(report.replayed_batches, 0, "snapshot already covers the log");
         assert_eq!(report.last_seq, n as u64);
         assert!(report.log_end.is_clean());
-        let mut recovered = recovered.into_engine();
+        let mut recovered = recovered.into_state();
         let stats = recovered.stats();
         assert_eq!(stats.rehashes, 0, "{}: view tables rehashed on restore", cfg.label);
         assert_eq!(stats.ring_rehashes, 0, "{}: ring tables rehashed on restore", cfg.label);
@@ -509,7 +509,7 @@ fn recovery_report_shape_and_log_reopen_after_crash() {
     for u in &updates {
         reference.apply_update(u).unwrap();
     }
-    let mut recovered = durable.into_engine();
+    let mut recovered = durable.into_state();
     assert_engines_agree(&mut reference, &mut recovered, None, "reopen_e2e");
 
     // The reopened log is fully durable again: one more recovery from the
@@ -517,7 +517,7 @@ fn recovery_report_shape_and_log_reopen_after_crash() {
     let (final_engine, report) = DurableEngine::recover(make_engine(&tree), &db, &dir).unwrap();
     assert!(report.log_end.is_clean());
     assert_eq!(report.last_seq, n as u64);
-    let mut final_engine = final_engine.into_engine();
+    let mut final_engine = final_engine.into_state();
     assert_engines_agree(&mut reference, &mut final_engine, None, "reopen_e2e/second");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -624,7 +624,7 @@ fn replay_crosses_segment_boundaries_with_interleaved_snapshots() {
     assert_eq!(report.snapshot_seq, Some(4));
     assert_eq!(report.replayed_batches, n - 4);
     assert_eq!(report.last_seq, n as u64);
-    let mut recovered = recovered.into_engine();
+    let mut recovered = recovered.into_state();
     assert_engines_agree(
         &mut count_reference(&tree, &db, &updates),
         &mut recovered,
@@ -667,7 +667,7 @@ fn retirement_and_crash_mid_retirement_recover() {
     let (recovered, report) = DurableEngine::recover(count_engine(&tree), &db, &dir).unwrap();
     assert_eq!(report.snapshot_seq, Some(n as u64));
     assert_eq!(report.replayed_batches, 0);
-    let mut recovered = recovered.into_engine();
+    let mut recovered = recovered.into_state();
     assert_engines_agree(
         &mut count_reference(&tree, &db, &updates),
         &mut recovered,
@@ -698,7 +698,7 @@ fn retirement_and_crash_mid_retirement_recover() {
     let (recovered, report) = DurableEngine::recover(count_engine(&tree), &db, &dir2).unwrap();
     assert_eq!(report.snapshot_seq, Some(n as u64));
     assert_eq!(report.segments_scanned, n - 2);
-    let mut recovered = recovered.into_engine();
+    let mut recovered = recovered.into_state();
     assert_engines_agree(
         &mut count_reference(&tree, &db, &updates),
         &mut recovered,
@@ -742,7 +742,7 @@ fn rotation_crashes_leave_recoverable_tail_segments() {
     assert_eq!(report.log_end, LogEnd::TornTail { valid_len: 0 });
     durable.apply_update(&updates[4]).unwrap();
     assert_eq!(durable.applied_seq(), 5);
-    let mut recovered = durable.into_engine();
+    let mut recovered = durable.into_state();
     assert_engines_agree(
         &mut count_reference(&tree, &db, &updates[..5]),
         &mut recovered,

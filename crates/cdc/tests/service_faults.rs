@@ -1,6 +1,7 @@
 //! Fault-injected end-to-end suite for the CDC service front end
 //! ([`fivm_cdc::CdcService`]): group commit, bounded-queue backpressure,
-//! fsync poisoning, shutdown drain, and bounded disk under churn.
+//! fsync poisoning, shutdown drain, bounded disk under churn, and batches
+//! the engine refuses (never logged, by the service or a `DurableEngine`).
 //!
 //! Every scenario closes with the same differential check the recovery
 //! suite uses: the service's engine — and an engine *recovered* from the
@@ -118,7 +119,7 @@ fn assert_recovery_matches_prefix(
         report.last_seq
     );
     let want = reference(tree, db, &batches[..report.last_seq as usize]);
-    assert_agree(&want, recovered.engine(), ctx);
+    assert_agree(&want, recovered.state(), ctx);
     report.last_seq
 }
 
@@ -274,6 +275,74 @@ fn over_cap_batch_poisons_with_the_size_error_and_keeps_the_acked_prefix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The batches a durable front end must refuse *before* logging them: a
+/// table the query does not read, and a fact row shorter than its table
+/// binding.  Logging one would make every later recovery fail on it.
+fn refused_batches(batches: &[Update]) -> [(&'static str, Update); 2] {
+    let fact = &batches[0];
+    let short = fact.rows[0].0[..2].to_vec().into_boxed_slice();
+    let unknown = vec![vec![Value::int(1)].into_boxed_slice()];
+    [
+        ("unknown_table", Update::inserts("NoSuchTable", unknown)),
+        ("short_row", Update::inserts(fact.table.clone(), vec![short])),
+    ]
+}
+
+#[test]
+fn a_refused_batch_is_never_logged_by_the_durable_engine() {
+    let (tree, db, batches) = workload();
+    for (what, bad) in refused_batches(&batches) {
+        let dir = tempdir(&format!("refused_engine_{what}"));
+        let mut engine = count_engine(&tree);
+        engine.load_database(&db).unwrap();
+        let mut durable = DurableEngine::create(engine, &dir).unwrap();
+        durable.apply_update(&batches[0]).unwrap();
+        let err = durable.apply_update(&bad).unwrap_err();
+        assert_eq!(err.kind(), "invalid_update", "{what}: {err}");
+        // The log continues right after the accepted batch.
+        durable.apply_update(&batches[1]).unwrap();
+        assert_eq!(durable.applied_seq(), 2, "{what}: the refused batch took no seq");
+        drop(durable);
+        let last = assert_recovery_matches_prefix(&tree, &db, &batches, &dir, 2, what);
+        assert_eq!(last, 2, "{what}: the refused batch left no bytes behind");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_refused_batch_poisons_the_service_after_its_accepted_prefix() {
+    let (tree, db, batches) = workload();
+    for (what, bad) in refused_batches(&batches) {
+        let dir = tempdir(&format!("refused_service_{what}"));
+        // Closed gate: all four batches land in one commit group.
+        let gate = CommitGate::closed_gate();
+        let config = ServiceConfig {
+            commit_gate: Some(gate.clone()),
+            ..ServiceConfig::default()
+        };
+        let mut engine = count_engine(&tree);
+        engine.load_database(&db).unwrap();
+        let service = CdcService::start(engine, &dir, config).unwrap();
+        for u in [&batches[0], &batches[1], &bad, &batches[2]] {
+            service.submit(u.clone()).unwrap();
+        }
+        gate.open();
+        let err = service.flush().unwrap_err();
+        assert_eq!(err.kind(), "poisoned", "{what}: {err}");
+
+        // The group's valid prefix is durable and applied; the refused
+        // batch and everything after it were never appended.
+        let done = service.shutdown();
+        let cause = done.error.expect("the refusal poisons the service");
+        assert_eq!(cause.kind(), "invalid_update", "{what}: {cause}");
+        assert_eq!((done.durable_seq, done.applied_seq), (2, 2), "{what}");
+        assert_agree(&reference(&tree, &db, &batches[..2]), &done.engine, what);
+        let last = assert_recovery_matches_prefix(&tree, &db, &batches, &dir, 2, what);
+        assert_eq!(last, 2, "{what}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn full_queue_block_deadline_and_reject_are_typed_errors() {
     let (tree, db, batches) = workload();
@@ -354,7 +423,7 @@ fn shed_oldest_drops_pending_batches_without_acking_them() {
     assert_agree(&reference(&tree, &db, &batches[2..6]), &done.engine, "shed/live");
     let (recovered, report) = DurableEngine::recover(count_engine(&tree), &db, &dir).unwrap();
     assert_eq!(report.last_seq, 4);
-    assert_agree(&reference(&tree, &db, &batches[2..6]), recovered.engine(), "shed/recovered");
+    assert_agree(&reference(&tree, &db, &batches[2..6]), recovered.state(), "shed/recovered");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -396,7 +465,6 @@ fn churn_stream_disk_plateaus_under_retirement() {
         group_commit_max: 4,
         max_segment_bytes: 4 * 1024,
         snapshot_every_batches: Some(16),
-        retire_segments: true,
         ..ServiceConfig::default()
     };
     let mut engine = count_engine(&tree);
@@ -435,7 +503,7 @@ fn churn_stream_disk_plateaus_under_retirement() {
     // The retained suffix still recovers to the exact final state.
     let (recovered, report) = DurableEngine::recover(count_engine(&tree), &db, &dir).unwrap();
     assert_eq!(report.last_seq, done.durable_seq);
-    assert_agree(&done.engine, recovered.engine(), "bounded-disk/recovered");
+    assert_agree(&done.engine, recovered.state(), "bounded-disk/recovered");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -43,7 +43,7 @@
 use crate::delta::DeltaEntry;
 use crate::engine::{EngineStats, UpdateOutcome};
 use crate::error::{EngineError, EngineResult};
-use crate::kernel::{direct_level, group_row, probe_level, PropagationScratch};
+use crate::kernel::{check_row, direct_level, group_row, probe_level, PropagationScratch};
 use crate::plan::{child_infos, compile_delta_plan, DeltaPlan, ProbeKind};
 use crate::view::MaterializedView;
 use fivm_common::{wire, EncodedKey, FivmError, FxHashMap, VarId, WireReader};
@@ -645,6 +645,35 @@ impl<R: Ring> DagEngine<R> {
             outcome = outcome.merge(&self.apply_leaf(leaf, &update.rows)?);
         }
         Ok(outcome)
+    }
+
+    /// Whether [`DagEngine::apply_update`] would accept `update`, decided
+    /// without touching any state: the table feeds a live leaf, and every
+    /// row with a non-zero multiplicity has the shape each of that table's
+    /// leaves requires ([`check_row`]).  `apply_update` fails exactly when
+    /// this does — a write-ahead log calls it before appending, so it never
+    /// holds a batch the state would refuse on replay.
+    pub fn check_update(&self, update: &Update) -> EngineResult<()> {
+        let name = update.table.as_str();
+        let Some(leaves) = self.tables.get(name) else {
+            return Err(FivmError::InvalidUpdate(format!(
+                "update targets unknown relation `{name}`"
+            ))
+            .into());
+        };
+        for &leaf in leaves {
+            if let NodeBody::Leaf {
+                col_names, binding, ..
+            } = &live_node(&self.nodes, leaf).body
+            {
+                for (row, mult) in &update.rows {
+                    if *mult != 0 {
+                        check_row(binding.as_deref(), col_names.len(), row)?;
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Applies `(row, multiplicity)` changes entering at one leaf: the

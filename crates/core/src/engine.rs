@@ -253,6 +253,12 @@ impl<R: Ring> Engine<R> {
         self.dag.apply_update(update)
     }
 
+    /// Whether [`Engine::apply_update`] would accept `update` (see
+    /// [`DagEngine::check_update`]); mutates nothing.
+    pub fn check_update(&self, update: &Update) -> EngineResult<()> {
+        self.dag.check_update(update)
+    }
+
     /// Applies a batch of `(row, multiplicity)` changes to a relation.
     ///
     /// Rows are in the bound table layout if [`Engine::bind_table`] was

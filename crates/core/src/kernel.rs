@@ -441,6 +441,28 @@ impl<R: Ring> PropagationScratch<R> {
     }
 }
 
+/// The one row-shape rule of a leaf: a bound row must hold every bound
+/// column, an unbound row exactly the relation's `arity` values.
+/// [`group_row`] applies it while grouping, and
+/// [`DagEngine::check_update`](crate::DagEngine::check_update) ahead of any
+/// mutation.
+pub(crate) fn check_row(binding: Option<&[usize]>, arity: usize, row: &[Value]) -> Result<()> {
+    match binding {
+        Some(cols) => match cols.iter().find(|&&c| c >= row.len()) {
+            Some(&c) => Err(FivmError::InvalidUpdate(format!(
+                "row has {} columns but column {c} was bound",
+                row.len()
+            ))),
+            None => Ok(()),
+        },
+        None if row.len() != arity => Err(FivmError::InvalidUpdate(format!(
+            "row arity {} does not match relation arity {arity}",
+            row.len()
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Merges one input row into the grouped leaf delta: encodes the row
 /// through the table binding (or validates its arity) directly into an
 /// [`EncodedKey`], hashes the key **once**, then accumulates `1 · mult`
@@ -460,29 +482,15 @@ pub fn group_row<R: Ring>(
     if mult == 0 {
         return Ok(());
     }
+    if let Err(e) = check_row(binding, arity, row) {
+        delta.clear();
+        return Err(e);
+    }
     // Encode the projected row straight into the key — one pass, no
     // intermediate buffer.
     let key = match binding {
-        Some(cols) => {
-            if let Some(&c) = cols.iter().find(|&&c| c >= row.len()) {
-                delta.clear();
-                return Err(FivmError::InvalidUpdate(format!(
-                    "row has {} columns but column {c} was bound",
-                    row.len()
-                )));
-            }
-            EncodedKey::from_fn(cols.len(), |i| dict.encode_value(&row[cols[i]]))
-        }
-        None => {
-            if row.len() != arity {
-                delta.clear();
-                return Err(FivmError::InvalidUpdate(format!(
-                    "row arity {} does not match relation arity {arity}",
-                    row.len()
-                )));
-            }
-            EncodedKey::from_fn(arity, |i| dict.encode_value(&row[i]))
-        }
+        Some(cols) => EncodedKey::from_fn(cols.len(), |i| dict.encode_value(&row[cols[i]])),
+        None => EncodedKey::from_fn(arity, |i| dict.encode_value(&row[i])),
     };
     let hash = key.fx_hash();
     match delta.slot_for(hash, &key) {

@@ -1,93 +1,79 @@
-//! A [`QueryRegistry`] behind a CDC changelog.
-//!
-//! The DAG holds the fleet's materialized state in memory; this wrapper
-//! makes the *stream* durable with the same discipline as
-//! `fivm_cdc::DurableEngine`: every batch is appended and fsynced to the
-//! changelog **before** it is applied, so an acknowledged batch survives
-//! a crash. Recovery rebuilds a fresh registry (the caller re-registers
-//! the same queries — registration is metadata, not state), loads the
-//! initial database, and replays the changelog **once** — one propagation
-//! pass per logged batch, shared prefixes maintained once, every sink
-//! converging bit-identically to the pre-crash fleet.
+//! A [`QueryRegistry`] behind `fivm_cdc`'s durable spine
+//! ([`fivm_cdc::Durable`]): batches are validated across the ring groups,
+//! journaled to a segmented changelog, then applied. Registrations are
+//! metadata, not journaled: recovery re-registers the fleet, loads the
+//! initial database and replays the log once through the shared pass.
 
-use crate::error::DagResult;
+use crate::error::{DagError, DagResult};
 use crate::registry::QueryRegistry;
-use fivm_cdc::{read_changelog, ChangelogWriter};
+use fivm_cdc::{Durable, Maintained};
 use fivm_core::UpdateOutcome;
 use fivm_relation::{Database, Update};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// A query registry whose input stream is journaled to a CDC changelog.
-pub struct DurableRegistry {
-    registry: QueryRegistry,
-    log: ChangelogWriter,
-    path: PathBuf,
+impl Maintained for QueryRegistry {
+    type Error = DagError;
+
+    fn load_database(&mut self, db: &Database) -> DagResult<()> {
+        QueryRegistry::load_database(self, db)
+    }
+
+    fn check_update(&self, update: &Update) -> DagResult<()> {
+        QueryRegistry::check_update(self, update)
+    }
+
+    fn apply_update(&mut self, update: &Update) -> DagResult<UpdateOutcome> {
+        QueryRegistry::apply_update(self, update)
+    }
 }
 
+/// A query registry whose input stream is journaled in a durable directory.
+pub struct DurableRegistry(Durable<QueryRegistry>);
+
 impl DurableRegistry {
-    /// Starts a fresh durable registry: truncates any changelog at `path`
-    /// and journals every subsequent batch there. The registry should
-    /// already hold its registrations and initial database load — only
-    /// updates applied *through* this wrapper are journaled.
-    pub fn create(registry: QueryRegistry, path: impl AsRef<Path>) -> DagResult<Self> {
-        let path = path.as_ref().to_path_buf();
-        let log = ChangelogWriter::create(&path)?;
-        Ok(DurableRegistry {
-            registry,
-            log,
-            path,
-        })
+    /// Starts a fresh durable registry in `dir` (see
+    /// [`fivm_cdc::Durable::create`]); only updates applied through this
+    /// handle are journaled.
+    pub fn create(registry: QueryRegistry, dir: impl AsRef<Path>) -> DagResult<Self> {
+        Durable::create(registry, dir).map(DurableRegistry)
     }
 
-    /// Recovers after a crash: `registry` must carry the same
-    /// registrations as the lost instance; `db` is the same initial
-    /// database it was loaded with. The changelog at `path` is replayed
-    /// once (torn tails ignored, as in `read_changelog`), then reopened
-    /// for appending.
-    pub fn recover(
-        mut registry: QueryRegistry,
-        db: &Database,
-        path: impl AsRef<Path>,
+    /// [`DurableRegistry::create`] with an explicit segment-rotation
+    /// threshold in bytes.
+    pub fn create_with(
+        registry: QueryRegistry,
+        dir: impl AsRef<Path>,
+        max_segment_bytes: u64,
     ) -> DagResult<Self> {
-        let path = path.as_ref().to_path_buf();
-        registry.load_database(db)?;
-        let (batches, _end) = read_changelog(&path)?;
-        for batch in &batches {
-            registry.apply_update(&batch.to_update())?;
-        }
-        let log = ChangelogWriter::open_append(&path)?;
-        Ok(DurableRegistry {
-            registry,
-            log,
-            path,
-        })
+        Durable::create_with(registry, dir, max_segment_bytes).map(DurableRegistry)
     }
 
-    /// Journals the batch durably (append + fsync), then applies it to
-    /// the fleet. A batch whose append fails is never applied.
+    /// Recovers after a crash: `registry` carries the lost instance's
+    /// registrations and `db` its initial database; the changelog in `dir`
+    /// is replayed once, then reopened for appending.
+    pub fn recover(registry: QueryRegistry, db: &Database, dir: impl AsRef<Path>) -> DagResult<Self> {
+        let (durable, _report) = Durable::recover_by_replay(registry, db, dir)?;
+        Ok(DurableRegistry(durable))
+    }
+
+    /// Validates, journals (append + fsync), then applies one batch; a
+    /// refused batch is never journaled.
     pub fn apply_update(&mut self, update: &Update) -> DagResult<UpdateOutcome> {
-        self.log.append_update(update)?;
-        self.registry.apply_update(update)
+        self.0.apply_update(update)
+    }
+
+    /// Sequence number of the last journaled batch applied to the fleet.
+    pub fn applied_seq(&self) -> u64 {
+        self.0.applied_seq()
     }
 
     /// The wrapped registry (result accessors, stats, introspection).
     pub fn registry(&self) -> &QueryRegistry {
-        &self.registry
+        self.0.state()
     }
 
-    /// Mutable access to the wrapped registry. Registrations made here
-    /// are **not** journaled — recovery re-registers from caller metadata.
-    pub fn registry_mut(&mut self) -> &mut QueryRegistry {
-        &mut self.registry
-    }
-
-    /// The changelog path this registry journals to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Consumes the wrapper, returning the in-memory registry.
+    /// Consumes the handle, returning the in-memory registry.
     pub fn into_registry(self) -> QueryRegistry {
-        self.registry
+        self.0.into_state()
     }
 }

@@ -14,8 +14,11 @@
 //! - [`QueryRegistry`] — the multi-ring front door: COUNT / COVAR /
 //!   gen-COVAR + MI / relational queries register under one roof, each
 //!   ring group backed by its own `DagEngine`.
-//! - [`DurableRegistry`] — a registry behind a CDC changelog, recoverable
-//!   by replaying the log once over a re-registered registry.
+//! - [`DurableRegistry`] — a registry behind `fivm_cdc`'s durable spine:
+//!   validated, write-ahead batches in a segmented changelog, recoverable
+//!   by replaying the log once over a re-registered registry. The log,
+//!   its framing and the replay loop all live in `fivm_cdc`; this crate
+//!   only implements `fivm_cdc::Maintained` for the registry.
 //!
 //! Node identity, sharing limits and statistics semantics are specified
 //! in the "DAG contract" section of ROADMAP.md.

@@ -200,31 +200,47 @@ impl QueryRegistry {
     /// many of its queries consume the relation. Errors if no registered
     /// query reads the table.
     pub fn apply_update(&mut self, update: &Update) -> DagResult<UpdateOutcome> {
-        let mut outcome = UpdateOutcome::default();
+        let t = update.table.as_str();
+        let mut outcome: Option<UpdateOutcome> = None;
+        let mut merge = |o: UpdateOutcome| outcome = Some(outcome.unwrap_or_default().merge(&o));
+        if self.count.has_table(t) {
+            merge(self.count.apply_update(update)?);
+        }
+        if self.covar.has_table(t) {
+            merge(self.covar.apply_update(update)?);
+        }
+        if self.gen.has_table(t) {
+            merge(self.gen.apply_update(update)?);
+        }
+        if self.relational.has_table(t) {
+            merge(self.relational.apply_update(update)?);
+        }
+        outcome.ok_or_else(|| unmaintained(t))
+    }
+
+    /// Whether [`QueryRegistry::apply_update`] would accept `update`,
+    /// decided without touching any state: some ring group maintains the
+    /// table, and every group that does accepts the rows
+    /// ([`DagEngine::check_update`]) — so a batch never reaches one group
+    /// and fails in the next.
+    pub fn check_update(&self, update: &Update) -> DagResult<()> {
+        let t = update.table.as_str();
+        let checks = [
+            self.count.has_table(t).then(|| self.count.check_update(update)),
+            self.covar.has_table(t).then(|| self.covar.check_update(update)),
+            self.gen.has_table(t).then(|| self.gen.check_update(update)),
+            self.relational.has_table(t).then(|| self.relational.check_update(update)),
+        ];
         let mut hit = false;
-        if self.count.has_table(&update.table) {
-            outcome = outcome.merge(&self.count.apply_update(update)?);
+        for check in checks.into_iter().flatten() {
+            check?;
             hit = true;
         }
-        if self.covar.has_table(&update.table) {
-            outcome = outcome.merge(&self.covar.apply_update(update)?);
-            hit = true;
+        if hit {
+            Ok(())
+        } else {
+            Err(unmaintained(t))
         }
-        if self.gen.has_table(&update.table) {
-            outcome = outcome.merge(&self.gen.apply_update(update)?);
-            hit = true;
-        }
-        if self.relational.has_table(&update.table) {
-            outcome = outcome.merge(&self.relational.apply_update(update)?);
-            hit = true;
-        }
-        if !hit {
-            return Err(DagError::State(format!(
-                "no registered query maintains relation `{}`",
-                update.table
-            )));
-        }
-        Ok(outcome)
     }
 
     fn resolve(&self, id: QueryId) -> DagResult<(Group, usize)> {
@@ -351,6 +367,10 @@ impl Default for QueryRegistry {
     fn default() -> Self {
         Self::new()
     }
+}
+
+fn unmaintained(table: &str) -> DagError {
+    DagError::State(format!("no registered query maintains relation `{table}`"))
 }
 
 fn group_of(kind: &QueryKind) -> Group {

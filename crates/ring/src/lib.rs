@@ -13,7 +13,6 @@
 //! | [`Cofactor`] | COVAR matrix over continuous attributes → ridge linear regression |
 //! | [`RelValue`] | the relation ring → factorized conjunctive query evaluation |
 //! | [`GenCofactor`] | COVAR/MI over mixed continuous and categorical attributes → model selection, Chow-Liu trees |
-//! | [`MatrixValue`] | matrix chain multiplication |
 //! | [`PairRing`] | product of two rings (compose applications) |
 //!
 //! Inserts and deletes are handled uniformly: a delete is an insert whose
@@ -28,7 +27,6 @@ pub mod cofactor;
 pub mod ctx;
 pub mod gencofactor;
 pub mod lift;
-pub mod matrix;
 pub mod numeric;
 pub mod persist;
 pub mod relkey;
@@ -40,7 +38,6 @@ pub use cofactor::Cofactor;
 pub use ctx::RingCtx;
 pub use gencofactor::GenCofactor;
 pub use lift::LiftFn;
-pub use matrix::MatrixValue;
 pub use numeric::PairRing;
 pub use persist::PersistRing;
 pub use relkey::RelKey;
